@@ -1,7 +1,8 @@
 """Benchmark S1 — online serving throughput: dynamic batching vs sequential.
 
-Serves the MVMC test traffic through :class:`~repro.serving.server.DDNNServer`
-in sequential (batch-size-1) mode and with dynamic micro-batching, on both
+Serves the MVMC test traffic through a single server (a one-tier
+:class:`~repro.serving.fabric.DistributedServingFabric`) in sequential
+(batch-size-1) mode and with dynamic micro-batching, on both
 the eager and the compiled forward path, and records the measured throughput
 ratios.  Acceptance bars: micro-batching must deliver at least a 2.5x
 throughput win over request-at-a-time serving on the eager path (typically

@@ -7,7 +7,7 @@ Demonstrates the :mod:`repro.compile` inference-plan compiler end to end:
    binarized weights, a buffer arena reused across batches);
 3. verify the numerical-equivalence guarantee against the eager path;
 4. time eager vs compiled staged inference at serving batch sizes; and
-5. serve the same traffic through ``DDNNServer(compile=True)``.
+5. serve the same traffic through a compiled single-tier serving fabric.
 
 Run with::
 
@@ -24,7 +24,7 @@ import numpy as np
 from repro.compile import compile_ddnn, verify_compiled
 from repro.core import DDNNConfig, DDNNTrainer, StagedInferenceEngine, TrainingConfig, build_ddnn
 from repro.datasets import load_mvmc_splits
-from repro.serving import BatchingPolicy, DDNNServer
+from repro.serving import BatchingPolicy, DistributedServingFabric
 
 
 def parse_args() -> argparse.Namespace:
@@ -74,21 +74,20 @@ def main() -> None:
         )
 
     # -- compiled online serving ------------------------------------------ #
-    server = DDNNServer(
+    server = DistributedServingFabric.single_tier(
         model,
         args.threshold,
-        policy=BatchingPolicy(max_batch_size=32, max_wait_s=0.0),
+        batching=BatchingPolicy(max_batch_size=32, max_wait_s=0.0),
         compile=True,
     )
     started = time.perf_counter()
     responses = server.serve_dataset(test_set)
     wall = time.perf_counter() - started
-    snapshot = server.snapshot()
-    correct = sum(response.prediction == response.target for response in responses)
-    print(f"\nDDNNServer(compile=True) served {len(responses)} requests in {wall:.3f} s")
+    report = server.report(responses)
+    print(f"\nCompiled single-tier server answered {len(responses)} requests in {wall:.3f} s")
     print(f"  throughput: {len(responses) / wall:.0f} req/s, "
-          f"local exits: {100 * snapshot.exit_fractions.get('local', 0.0):.1f}%, "
-          f"accuracy: {100 * correct / len(responses):.1f}%")
+          f"local exits: {100 * report.exit_fractions.get('local', 0.0):.1f}%, "
+          f"accuracy: {100 * report.accuracy:.1f}%")
 
 
 if __name__ == "__main__":

@@ -3,11 +3,13 @@
 This example mirrors the paper's deployment story end to end:
 
 1. train a small multi-exit DDNN on the synthetic MVMC dataset;
-2. stand up a :class:`~repro.serving.server.DDNNServer` with dynamic
-   micro-batching;
-3. stream the test set through it as two independent camera-hub clients;
-4. show the rolling telemetry — throughput, latency percentiles and how
-   much traffic each exit absorbed — plus the per-exit response routing.
+2. stand up a single inference server — a one-tier
+   :class:`~repro.serving.fabric.DistributedServingFabric` whose worker runs
+   the whole exit cascade — with dynamic micro-batching;
+3. stream the test set through it as two independent camera-hub clients,
+   one arrival every millisecond of simulated time;
+4. show the served traffic — latency percentiles, batch sizes and how much
+   traffic each exit absorbed — plus the per-client split.
 
 Run with::
 
@@ -16,9 +18,11 @@ Run with::
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.core import DDNNTrainer, TrainingConfig, build_ddnn
 from repro.datasets import DEFAULT_DEVICE_PROFILES, load_mvmc_splits
-from repro.serving import BatchingPolicy, DDNNServer
+from repro.serving import BatchingPolicy, DistributedServingFabric
 
 
 def main() -> None:
@@ -40,10 +44,10 @@ def main() -> None:
     DDNNTrainer(model, TrainingConfig(epochs=10, batch_size=32, seed=0)).fit(train_set)
     model.eval()
 
-    server = DDNNServer(
+    server = DistributedServingFabric.single_tier(
         model,
         thresholds=0.8,
-        policy=BatchingPolicy(max_batch_size=16, max_wait_s=0.001),
+        batching=BatchingPolicy(max_batch_size=16, max_wait_s=0.001),
     )
 
     print("Streaming the test set from two clients...")
@@ -53,30 +57,23 @@ def main() -> None:
             test_set.images[index],
             client_id=clients[index % len(clients)],
             target=int(test_set.labels[index]),
+            at=0.001 * index,
         )
-        # Opportunistically serve whenever the batcher says a batch is due,
-        # exactly as the synchronous serving loop would under live traffic.
-        server.step()
-    server.run_until_drained()
+    responses = server.run_until_idle()
 
-    snapshot = server.snapshot()
-    print(f"\nServed {snapshot.total_requests} requests in {snapshot.total_batches} micro-batches")
-    print(f"  throughput       : {snapshot.throughput_rps:8.1f} requests/s")
-    print(f"  mean batch size  : {snapshot.mean_batch_size:8.1f}")
-    print(f"  latency mean/p95 : {1e3 * snapshot.mean_latency_s:6.2f} / {1e3 * snapshot.p95_latency_s:.2f} ms")
-    print(f"  accuracy         : {100.0 * (snapshot.accuracy or 0.0):8.1f} %")
+    report = server.report()
+    batches = server.tiers[0].batches_dispatched
+    print(f"\nServed {report.served} requests in {batches} micro-batches")
+    print(f"  mean batch size  : {report.served / batches:8.1f}")
+    print(f"  latency mean/p95 : {1e3 * report.mean_latency_s:6.2f} / {1e3 * report.p95_latency_s:.2f} ms")
+    print(f"  accuracy         : {100.0 * (report.accuracy or 0.0):8.1f} %")
     print("  exit traffic split:")
-    for name, fraction in snapshot.exit_fractions.items():
+    for name, fraction in report.exit_fractions.items():
         print(f"    {name:<6} {100.0 * fraction:5.1f} %")
 
-    print("\nPer-exit response routing:")
-    for name in server.exit_names:
-        responses = server.responses_for_exit(name)
-        print(f"  {name:<6} delivered {len(responses):3d} responses")
-
-    print("\nPer-client sessions:")
-    for client_id, session in sorted(server.queue.sessions.items()):
-        print(f"  {client_id:<9} submitted={session.submitted} completed={session.completed}")
+    print("\nPer-client answers:")
+    for client_id, count in sorted(Counter(r.client_id for r in responses).items()):
+        print(f"  {client_id:<9} answered={count}")
 
 
 if __name__ == "__main__":

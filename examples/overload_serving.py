@@ -1,4 +1,4 @@
-"""Overload-safe DDNN serving: open-loop load, admission control, QoS.
+"""Overload-safe DDNN serving: open-loop load and admission control.
 
 Where ``examples/online_serving.py`` shows the happy path (a drainable
 request stream), this example shows the regime the paper's always-on end
@@ -6,13 +6,13 @@ devices actually live in — arrivals that do not care whether the server
 keeps up:
 
 1. train a small multi-exit DDNN on the synthetic MVMC dataset;
-2. drive a :class:`~repro.serving.server.DDNNServer` with a seeded Poisson
-   arrival process at 2x its serving capacity, on a simulated clock with a
-   deterministic service-time model (latencies are exactly reproducible);
+2. drive a single inference server (a one-tier
+   :class:`~repro.serving.fabric.DistributedServingFabric`) with a seeded
+   Poisson arrival process at 2x its serving capacity, on a simulated clock
+   with a deterministic service-time model (latencies are exactly
+   reproducible);
 3. compare the unbounded FIFO baseline against a bounded queue under each
-   admission policy (reject / drop-oldest / shed-to-local-exit);
-4. give one client a 3x QoS weight and show it gets the larger share of a
-   contended micro-batch.
+   admission policy (reject / drop-oldest / shed-to-local-exit).
 
 Run with::
 
@@ -25,11 +25,9 @@ from repro.core import DDNNTrainer, TrainingConfig, build_ddnn
 from repro.datasets import DEFAULT_DEVICE_PROFILES, load_mvmc_splits
 from repro.serving import (
     BatchingPolicy,
-    DDNNServer,
-    LoadGenerator,
+    DistributedServingFabric,
     PoissonProcess,
     ServiceModel,
-    SimulatedClock,
     admission_policy,
 )
 
@@ -65,54 +63,32 @@ def main() -> None:
     print(f"\n{'policy':<12} {'served':>6} {'rej':>5} {'drop':>5} {'shed':>5} "
           f"{'p50 ms':>8} {'p95 ms':>8} {'p99 ms':>8}")
     for policy_name in ("unbounded", "reject", "drop-oldest", "shed-local"):
-        clock = SimulatedClock()
-        server = DDNNServer(
+        server = DistributedServingFabric.single_tier(
             model,
             thresholds=0.8,
-            policy=batching,
-            clock=clock,
+            batching=batching,
+            service_models=[service],
             capacity=None if policy_name == "unbounded" else 32,
             admission=None if policy_name == "unbounded" else admission_policy(policy_name),
         )
-        generator = LoadGenerator(
-            server,
+        everything = server.open_loop(
             PoissonProcess(offered_rps, seed=42),
             test_set.images,
             targets=test_set.labels,
-            service_model=service,
+            num_requests=500,
         )
-        report = generator.run(500)
+        # Tails over the queued-and-served requests; shed answers are
+        # immediate local-exit replies, counted in their own column.
+        report = server.report([r for r in everything.responses if not r.shed])
+        admission = server.admission_stats
         print(
-            f"{policy_name:<12} {report.served:>6} {report.rejected:>5} "
-            f"{report.dropped:>5} {report.shed:>5} "
+            f"{policy_name:<12} {report.served:>6} {admission.rejected:>5} "
+            f"{admission.dropped:>5} {admission.shed:>5} "
             f"{1e3 * report.p50_latency_s:>8.1f} {1e3 * report.p95_latency_s:>8.1f} "
             f"{1e3 * report.p99_latency_s:>8.1f}"
         )
     print("(unbounded keeps everything but its tail grows with run length; "
           "bounded policies pin the tail and surface the excess explicitly)")
-
-    # ------------------------------------------------------------------ #
-    print("\nPer-client QoS: 'premium' weight 3.0 vs 'basic' weight 1.0")
-    clock = SimulatedClock()
-    server = DDNNServer(
-        model,
-        thresholds=0.8,
-        policy=batching,
-        clock=clock,
-        client_weights={"premium": 3.0, "basic": 1.0},
-    )
-    for index in range(12):
-        server.submit(test_set.images[index], client_id="premium")
-        server.submit(test_set.images[index], client_id="basic")
-    batch = server.batcher.next_batch(force=True)
-    batch_clients = [request.client_id for request in batch]
-    print(f"  first contended micro-batch ({len(batch_clients)} slots): "
-          f"premium={batch_clients.count('premium')}, basic={batch_clients.count('basic')}")
-    server.process_batch(batch)
-    server.run_until_drained()
-    for client_id, session in sorted(server.queue.sessions.items()):
-        print(f"  {client_id:<8} weight={session.weight:.1f} "
-              f"submitted={session.submitted} completed={session.completed}")
 
 
 if __name__ == "__main__":

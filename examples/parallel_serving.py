@@ -13,8 +13,9 @@ against wall-clock time:
    cross-check that every request gets the same prediction and exit index
    (entropies agree to ~1e-12: real timing reshuffles upper-tier batch
    composition, and BLAS kernels are shape-dependent in the last ulp);
-4. time a single-node :class:`~repro.serving.server.DDNNServer` with 1, 2
-   and 4 real workers to show the wall-clock scaling knob (speedups depend
+4. time a single-node server (a one-tier fabric whose workers each run the
+   whole cascade) with 1, 2 and 4 real workers to show the wall-clock
+   scaling knob (speedups depend
    on the CPUs actually available — on a 1-core box threads only add
    overhead, which the printout calls out honestly).
 
@@ -31,7 +32,7 @@ from repro.core import DDNNTrainer, TrainingConfig, build_ddnn
 from repro.datasets import DEFAULT_DEVICE_PROFILES, load_mvmc_splits
 from repro.experiments.parallel_serving import available_cpu_count
 from repro.hierarchy import partition_ddnn
-from repro.serving import BatchingPolicy, DDNNServer, DistributedServingFabric
+from repro.serving import BatchingPolicy, DistributedServingFabric
 
 
 def routing(responses):
@@ -100,22 +101,21 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # Wall-clock scaling on the single-node server.
     cores = available_cpu_count()
-    print(f"\nDDNNServer wall-clock scaling ({cores} CPU core(s) visible):")
+    print(f"\nSingle-node server wall-clock scaling ({cores} CPU core(s) visible):")
     base_rps = None
     for workers in (1, 2, 4):
-        server = DDNNServer(
+        server = DistributedServingFabric.single_tier(
             model,
             threshold,
-            policy=BatchingPolicy.sequential(),
+            workers_per_tier=workers,
+            batching=BatchingPolicy.sequential(),
             compile=True,
-            workers=workers,
             backend="thread",
         )
         with server:
             start = time.perf_counter()
-            for views in test_set.images:
-                server.submit(views)
-            server.run_until_drained()
+            server.submit_many(list(test_set.images))
+            server.run_until_idle(drain=True)
             wall = time.perf_counter() - start
         rps = len(test_set) / wall
         base_rps = base_rps or rps

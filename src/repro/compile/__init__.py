@@ -24,8 +24,8 @@ for the numerical-equivalence guarantee against the eager path.  The
 ``compile=True`` knobs on :class:`~repro.core.cascade.ExitCascade`,
 :class:`~repro.core.inference.StagedInferenceEngine`,
 :class:`~repro.hierarchy.runtime.HierarchyRuntime` and
-:class:`~repro.serving.server.DDNNServer` route their forwards through this
-package.
+:class:`~repro.serving.fabric.DistributedServingFabric` route their forwards
+through this package.
 """
 
 from .cache import compiled_plan_for, invalidate_plan

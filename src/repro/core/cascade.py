@@ -67,7 +67,7 @@ def normalize_thresholds(thresholds: Thresholds, num_exits: int) -> List[float]:
     Rules (identical for every cascade consumer —
     :class:`~repro.core.inference.StagedInferenceEngine`,
     :class:`~repro.hierarchy.runtime.HierarchyRuntime` and
-    :class:`~repro.serving.server.DDNNServer`):
+    :class:`~repro.serving.fabric.DistributedServingFabric`):
 
     * a single float is broadcast to every exit;
     * a sequence may carry ``num_exits - 1`` values (one per non-final

@@ -522,15 +522,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_one(name: str, scale, output_dir: Optional[Path]) -> None:
-    runner = EXPERIMENT_REGISTRY[name]
-    result = runner(scale)
+def _emit(result, output_dir: Optional[Path], *notes: str) -> int:
+    """Print a result table and any note lines; optionally write ``<name>.txt``."""
     text = result.to_text()
     print(text)
-    print()
+    for note in notes:
+        print(note)
     if output_dir is not None:
         output_dir.mkdir(parents=True, exist_ok=True)
         (output_dir / f"{result.name}.txt").write_text(text + "\n")
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -543,10 +544,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(name)
         return 0
 
+    scale = paper_scale() if args.scale == "paper" else ci_scale()
+
     if args.command == "serve-bench":
         from .serving_benchmark import DEFAULT_BATCH_SIZES, run_serving_throughput
 
-        scale = paper_scale() if args.scale == "paper" else ci_scale()
         batch_sizes = args.batch_sizes if args.batch_sizes else DEFAULT_BATCH_SIZES
         result = run_serving_throughput(
             scale,
@@ -554,12 +556,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             batch_sizes=batch_sizes,
             repeats=args.repeats,
         )
-        text = result.to_text()
-        print(text)
-        if args.output_dir is not None:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            (args.output_dir / f"{result.name}.txt").write_text(text + "\n")
-        return 0
+        return _emit(result, args.output_dir)
 
     if args.command == "load-bench":
         from .overload_study import (
@@ -568,7 +565,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             run_overload_study,
         )
 
-        scale = paper_scale() if args.scale == "paper" else ci_scale()
         result = run_overload_study(
             scale,
             threshold=args.threshold,
@@ -580,12 +576,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             seed=args.seed,
             compiled=not args.eager,
         )
-        text = result.to_text()
-        print(text)
-        if args.output_dir is not None:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            (args.output_dir / f"{result.name}.txt").write_text(text + "\n")
-        return 0
+        return _emit(result, args.output_dir)
 
     if args.command == "dist-bench":
         from .distributed_serving import (
@@ -595,7 +586,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             run_distributed_serving,
         )
 
-        scale = paper_scale() if args.scale == "paper" else ci_scale()
         result = run_distributed_serving(
             scale,
             threshold=args.threshold,
@@ -610,23 +600,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             calibrate=args.calibrate,
             backend=args.backend,
         )
-        text = result.to_text()
-        print(text)
-        print(
+        return _emit(
+            result,
+            args.output_dir,
             "plan-timing calibration: "
             f"overhead {result.metadata['measured_plan_batch_overhead_ms']:.3f} ms, "
             f"per-sample {result.metadata['measured_plan_per_sample_ms']:.3f} ms "
-            f"({result.metadata['service_calibration']} rows)"
+            f"({result.metadata['service_calibration']} rows)",
         )
-        if args.output_dir is not None:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            (args.output_dir / f"{result.name}.txt").write_text(text + "\n")
-        return 0
 
     if args.command == "parallel-bench":
         from .parallel_serving import DEFAULT_PARALLEL_WORKER_COUNTS, run_parallel_serving
 
-        scale = paper_scale() if args.scale == "paper" else ci_scale()
         result = run_parallel_serving(
             scale,
             threshold=args.threshold,
@@ -634,21 +619,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             num_requests=args.num_requests,
             rounds=args.rounds,
         )
-        text = result.to_text()
-        print(text)
-        print(
+        return _emit(
+            result,
+            args.output_dir,
             f"cpu_count={result.metadata['cpu_count']}; wall-clock rows are "
-            "machine-dependent (see metadata note)"
+            "machine-dependent (see metadata note)",
         )
-        if args.output_dir is not None:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            (args.output_dir / f"{result.name}.txt").write_text(text + "\n")
-        return 0
 
     if args.command == "elastic-bench":
         from .elastic_serving import run_elastic_serving
 
-        scale = paper_scale() if args.scale == "paper" else ci_scale()
         result = run_elastic_serving(
             scale,
             threshold=args.threshold,
@@ -658,21 +638,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             capacity=args.capacity,
             seed=args.seed,
         )
-        text = result.to_text()
-        print(text)
-        print(
+        return _emit(
+            result,
+            args.output_dir,
             f"elastic trajectory ({len(result.metadata['elastic_trajectory'])} "
-            f"scale events): {result.metadata['elastic_trajectory']}"
+            f"scale events): {result.metadata['elastic_trajectory']}",
         )
-        if args.output_dir is not None:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            (args.output_dir / f"{result.name}.txt").write_text(text + "\n")
-        return 0
 
     if args.command == "chaos-bench":
         from .chaos_serving import run_chaos_serving
 
-        scale = paper_scale() if args.scale == "paper" else ci_scale()
         result = run_chaos_serving(
             scale,
             threshold=args.threshold,
@@ -680,31 +655,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             max_batch_size=args.max_batch_size,
             seed=args.seed,
         )
-        text = result.to_text()
-        print(text)
-        stats = result.metadata["resilience_stats"]
-        print(
-            "resilience accounting: "
-            + "; ".join(
-                f"{scenario}: {values}" for scenario, values in stats.items()
-            )
-        )
-        print(
-            "breakers: "
-            + "; ".join(
-                f"{scenario}: {values or '-'}"
-                for scenario, values in result.metadata["breakers"].items()
-            )
-        )
-        if args.output_dir is not None:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            (args.output_dir / f"{result.name}.txt").write_text(text + "\n")
-        return 0
+        return _emit(result, args.output_dir, *_resilience_notes(result))
 
     if args.command == "slo-bench":
         from .slo_serving import run_slo_serving, run_wallclock_slo_smoke
 
-        scale = paper_scale() if args.scale == "paper" else ci_scale()
         if args.wallclock_smoke:
             facts = run_wallclock_slo_smoke(
                 scale, threshold=args.threshold, seed=args.seed
@@ -721,30 +676,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             max_batch_size=args.max_batch_size,
             seed=args.seed,
         )
-        text = result.to_text()
-        print(text)
-        stats = result.metadata["resilience_stats"]
-        print(
-            "resilience accounting: "
-            + "; ".join(f"{cell}: {values}" for cell, values in stats.items())
-        )
-        print(
-            "breakers: "
-            + "; ".join(
-                f"{cell}: {values or '-'}"
-                for cell, values in result.metadata["breakers"].items()
-            )
-        )
-        if args.output_dir is not None:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            (args.output_dir / f"{result.name}.txt").write_text(text + "\n")
-        return 0
+        return _emit(result, args.output_dir, *_resilience_notes(result))
 
     if args.command == "infer-bench":
         from .compiled_forward import DEFAULT_BATCH_SIZES as INFER_BATCH_SIZES
         from .compiled_forward import DEFAULT_PRECISIONS, run_compiled_forward
 
-        scale = paper_scale() if args.scale == "paper" else ci_scale()
         result = run_compiled_forward(
             scale,
             threshold=args.threshold,
@@ -753,42 +690,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             timing_rounds=args.timing_rounds,
             precisions=args.precisions or DEFAULT_PRECISIONS,
         )
-        text = result.to_text()
-        print(text)
-        print(
+        notes = [
             f"reference speedup (batch {result.metadata['reference_batch_size']}): "
             f"{result.metadata['reference_speedup']:.2f}x, "
             f"max |logit diff| {result.metadata['max_abs_logit_diff']:.2e}"
-        )
+        ]
         fp32_reference = result.metadata.get("fp32_reference_speedup")
         if fp32_reference is not None:
-            print(f"fp32 kernel reference speedup (batch 1): {fp32_reference:.2f}x")
-        if args.output_dir is not None:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            (args.output_dir / f"{result.name}.txt").write_text(text + "\n")
-        return 0
+            notes.append(f"fp32 kernel reference speedup (batch 1): {fp32_reference:.2f}x")
+        return _emit(result, args.output_dir, *notes)
 
     if args.command == "sweep-bench":
         from .sweep_fastpath import DEFAULT_SWEEP_GRIDS, run_sweep_fastpath
 
-        scale = paper_scale() if args.scale == "paper" else ci_scale()
         grids = (
             (("custom", tuple(args.thresholds)),) if args.thresholds else DEFAULT_SWEEP_GRIDS
         )
         result = run_sweep_fastpath(scale, grids=grids, timing_rounds=args.timing_rounds)
-        text = result.to_text()
-        print(text)
+        notes = []
         if "reference_speedup" in result.metadata:
-            print(
+            notes.append(
                 f"reference speedup ({result.metadata.get('scale')} scale, Table II grid): "
                 f"{result.metadata['reference_speedup']:.1f}x"
             )
-        if args.output_dir is not None:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            (args.output_dir / f"{result.name}.txt").write_text(text + "\n")
-        return 0
+        return _emit(result, args.output_dir, *notes)
 
-    scale = paper_scale() if args.scale == "paper" else ci_scale()
     if args.experiment == "all":
         names: List[str] = list(EXPERIMENT_REGISTRY)
     elif args.experiment in EXPERIMENT_REGISTRY:
@@ -800,8 +726,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2  # unreachable, parser.error raises SystemExit
 
     for name in names:
-        _run_one(name, scale, args.output_dir)
+        # The blank note separates consecutive tables.
+        _emit(EXPERIMENT_REGISTRY[name](scale), args.output_dir, "")
     return 0
+
+
+def _resilience_notes(result) -> List[str]:
+    """The chaos/SLO benches' per-cell resilience and breaker lines."""
+    stats = result.metadata["resilience_stats"]
+    breakers = result.metadata["breakers"]
+    return [
+        "resilience accounting: "
+        + "; ".join(f"{cell}: {values}" for cell, values in stats.items()),
+        "breakers: "
+        + "; ".join(f"{cell}: {values or '-'}" for cell, values in breakers.items()),
+    ]
 
 
 if __name__ == "__main__":

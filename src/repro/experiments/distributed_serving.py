@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ..core.cascade import ExitCascade
 from ..hierarchy.partition import (
     DEFAULT_EDGE_LINK,
     DEFAULT_LOCAL_LINK,
@@ -50,7 +51,6 @@ from ..hierarchy.partition import (
 from ..serving import (
     AdaptiveThreshold,
     BatchingPolicy,
-    DDNNServer,
     DistributedServingFabric,
     PoissonProcess,
     ServiceModel,
@@ -118,7 +118,8 @@ def run_distributed_serving(
     # recorded in the metadata, swapped into the rows with calibrate=True.
     calibration_batch = max(2, min(max_batch_size, len(test_set)))
     measured = ServiceModel.from_plan_timings(
-        DDNNServer(model, threshold, compile=True),
+        model,
+        ExitCascade.for_model(model, threshold),
         test_set.images[0],
         batch_size=calibration_batch,
     )

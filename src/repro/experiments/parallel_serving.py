@@ -3,8 +3,9 @@
 Every other serving study in this repo reports *simulated* time: workers
 are bookkeeping slots on a discrete-event loop and no two forwards ever
 execute together.  This study measures the real thing — the
-``backend="thread"`` worker pools behind :class:`~repro.serving.server.DDNNServer`
-and :class:`~repro.serving.fabric.DistributedServingFabric` running
+``backend="thread"`` worker pools behind
+:class:`~repro.serving.fabric.DistributedServingFabric` (one-tier, every
+worker running the whole cascade, and the three-tier hierarchy) running
 per-worker :class:`~repro.compile.CompiledDDNN` plan bundles on a
 :class:`~concurrent.futures.ThreadPoolExecutor` — and answers two
 questions:
@@ -37,7 +38,7 @@ from typing import Optional, Sequence
 
 from ..core.ddnn import build_ddnn
 from ..hierarchy.partition import LinkSpec, partition_ddnn
-from ..serving import BatchingPolicy, DDNNServer, DistributedServingFabric
+from ..serving import BatchingPolicy, DistributedServingFabric
 from .results import ExperimentResult
 from .runner import ExperimentScale, default_scale, get_dataset, get_trained_ddnn
 
@@ -180,25 +181,21 @@ def run_parallel_serving(
     requests = [test_set.images[index % len(test_set)] for index in range(num_requests)]
 
     def _server_run(workers: int) -> float:
-        server = DDNNServer(
+        with DistributedServingFabric.single_tier(
             heavy,
             threshold,
-            policy=BatchingPolicy.sequential(),
+            workers_per_tier=workers,
+            batching=BatchingPolicy.sequential(),
             compile=True,
-            workers=workers,
             backend="thread",
-        )
-        try:
+        ) as server:
             best = float("inf")
             for _ in range(rounds):
                 start = time.perf_counter()
-                for views in requests:
-                    server.submit(views)
-                server.run_until_drained()
+                server.submit_many(requests)
+                server.run_until_idle(drain=True)
                 best = min(best, time.perf_counter() - start)
             return best
-        finally:
-            server.close()
 
     def _fabric_run(workers: int) -> float:
         best = float("inf")

@@ -2,8 +2,9 @@
 
 The paper's deployment serves a continuous stream of requests from end
 devices; the win of the exit cascade is throughput and latency under load.
-This experiment measures the :class:`~repro.serving.server.DDNNServer`
-draining the MVMC test traffic in several modes:
+This experiment measures a single inference server — a one-tier
+:class:`~repro.serving.fabric.DistributedServingFabric` whose worker runs the
+whole cascade — draining the MVMC test traffic in several modes:
 
 * ``sequential`` — batch-size-1 serving (the naive request-at-a-time
   baseline);
@@ -14,7 +15,9 @@ Tensor stack) and ``compiled`` (the :mod:`repro.compile` fused inference
 plans) — so the table shows the batching win *and* the end-to-end compiled
 win.  For each row it reports wall time, requests/second, the speedup over
 that path's sequential baseline, service latency percentiles and the
-per-exit traffic split.  Accuracy is also reported as a guard: neither
+per-exit traffic split.  Latencies are submit-to-answer times on the
+fabric's simulated clock, where each batch occupies the worker for its
+measured forward time.  Accuracy is also reported as a guard: neither
 batching nor compilation may change a single prediction (the cascade is
 numerically batch-size invariant and the compiled path routing-identical).
 """
@@ -26,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..serving import BatchingPolicy, DDNNServer
+from ..serving import BatchingPolicy, DistributedServingFabric
 from .results import ExperimentResult
 from .runner import ExperimentScale, default_scale, get_dataset, get_trained_ddnn
 
@@ -103,23 +106,28 @@ def run_serving_throughput(
     for path in paths:
         sequential_throughput: Optional[float] = None
         for mode, policy in policies:
+            # One server per mode, reused across timing rounds so its worker
+            # plan stays warm; each round drains a fresh request stream.
+            fabric = DistributedServingFabric.single_tier(
+                model, threshold, batching=policy, compile=(path == "compiled")
+            )
             wall = float("inf")
             for _ in range(timing_rounds):
-                server = DDNNServer(
-                    model, threshold, policy=policy, compile=(path == "compiled")
-                )
-                for _ in range(repeats):
-                    for index in range(len(test_set)):
-                        server.submit(
-                            test_set.images[index],
-                            client_id="bench",
-                            target=int(test_set.labels[index]),
-                        )
+                round_ids = [
+                    fabric.submit_many(
+                        list(test_set.images),
+                        client_id="bench",
+                        targets=[int(label) for label in test_set.labels],
+                    )
+                    for _ in range(repeats)
+                ]
                 started = time.perf_counter()
-                responses = server.run_until_drained()
+                fabric.run_until_idle(drain=True)
                 wall = min(wall, time.perf_counter() - started)
-
-            responses.sort(key=lambda response: response.request_id)
+            responses = sorted(
+                (r for r in fabric.responses if r.request_id >= round_ids[0][0]),
+                key=lambda response: response.request_id,
+            )
             predictions = np.array([response.prediction for response in responses])
             if baseline_predictions is None:
                 baseline_predictions = predictions
@@ -133,7 +141,8 @@ def run_serving_throughput(
             if sequential_throughput is None:
                 sequential_throughput = throughput
             best_throughput[path] = max(best_throughput[path], throughput)
-            snapshot = server.snapshot()
+            report = fabric.report(responses)
+            tier = fabric.tiers[0]
             latencies = np.array([response.latency_s for response in responses])
             targets = np.array([response.target for response in responses])
             result.add_row(
@@ -146,8 +155,8 @@ def run_serving_throughput(
                 speedup_vs_sequential=throughput / sequential_throughput,
                 mean_latency_ms=1e3 * float(latencies.mean()),
                 p95_latency_ms=1e3 * float(np.percentile(latencies, 95)),
-                mean_batch=snapshot.mean_batch_size,
-                local_exit_pct=100.0 * snapshot.exit_fractions.get("local", 0.0),
+                mean_batch=tier.samples_processed / tier.batches_dispatched,
+                local_exit_pct=100.0 * report.exit_fractions.get("local", 0.0),
                 accuracy_pct=100.0 * float(np.mean(predictions == targets)),
             )
     if "eager" in best_throughput and "compiled" in best_throughput and best_throughput["eager"]:

@@ -51,6 +51,7 @@ from .partition import (
 from .plan import AutoscalePolicy, PartitionPlan
 from .runtime import DistributedInferenceResult, HierarchyRuntime
 from .sections import (
+    CascadeSection,
     CloudTierSection,
     DeviceTierSection,
     EdgeTierSection,
@@ -88,6 +89,7 @@ __all__ = [
     "DeviceTierSection",
     "EdgeTierSection",
     "CloudTierSection",
+    "CascadeSection",
     "SectionResult",
     "TransferResult",
     "build_tier_sections",

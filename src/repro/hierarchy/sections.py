@@ -11,7 +11,7 @@ layers.
 Each section does two things:
 
 * :meth:`TierSection.process` — run the tier's NN sections on a batch,
-  returning the tier's exit logits (if it has an exit), per-sample latency
+  returning the logits of every exit the tier owns, per-sample latency
   and byte accounting, and a batch-level *carry* (the feature maps an
   offload would forward);
 * :meth:`TierSection.offload` — send the carried features for the
@@ -39,10 +39,16 @@ section can also be handed an explicit per-worker
 :class:`~repro.compile.CompiledDDNN` bundle (``plans=...``), which is how the
 fabric gives every simulated worker its own plan instances — the compiled
 buffer arenas are then thread-safe by construction.
+
+A tier owns zero or more exits.  The device, edge and cloud sections own at
+most one each; :class:`CascadeSection` owns all of them and runs the whole
+cascade on one worker, which is how a one-tier fabric serves as a single
+inference server.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -60,6 +66,7 @@ __all__ = [
     "DeviceTierSection",
     "EdgeTierSection",
     "CloudTierSection",
+    "CascadeSection",
     "build_tier_sections",
 ]
 
@@ -71,7 +78,7 @@ RowPayload = Tuple[np.ndarray, ...]
 class SectionResult:
     """Outcome of running one tier's section on a batch of ``n`` rows."""
 
-    logits: Optional[np.ndarray]  # exit logits (n, C); None when the tier has no exit
+    exit_logits: List[np.ndarray]  # (n, C) logits per exit the tier owns, in exit order
     carry: object  # batch-level state an offload would forward
     service_s: float  # wall-clock the tier's worker is occupied by this batch
     intake_s: np.ndarray  # per-row intra-tier transfer+wait latency (n,)
@@ -97,12 +104,22 @@ def stack_rows(payloads: Sequence[RowPayload]) -> List[np.ndarray]:
 class TierSection:
     """One tier of the cascade: compute stage plus upward offload stage."""
 
-    #: Display name of the tier ("devices", "edge", "cloud").
+    #: Display name of the tier ("devices", "edge", "cloud", "cascade").
     tier_name: str = "tier"
-    #: Index into the cascade's exits, or None when the tier has no exit.
-    exit_index: Optional[int] = None
-    #: Exit name matching ``exit_index`` ("" when the tier has no exit).
-    exit_name: str = ""
+    #: Indices into the cascade's exits this tier evaluates, in exit order.
+    exit_indices: Tuple[int, ...] = ()
+    #: Exit names matching ``exit_indices``.
+    exit_names: Tuple[str, ...] = ()
+
+    @property
+    def exit_index(self) -> Optional[int]:
+        """The tier's first exit, or None when the tier has no exit."""
+        return self.exit_indices[0] if self.exit_indices else None
+
+    @property
+    def exit_name(self) -> str:
+        """Name of :attr:`exit_index` ("" when the tier has no exit)."""
+        return self.exit_names[0] if self.exit_names else ""
 
     def process(self, payload, plans=None) -> SectionResult:
         raise NotImplementedError
@@ -143,8 +160,8 @@ class DeviceTierSection(TierSection):
     ) -> None:
         self.deployment = deployment
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
-        self.exit_index = exit_index
-        self.exit_name = "local" if exit_index is not None else ""
+        if exit_index is not None:
+            self.exit_indices, self.exit_names = (exit_index,), ("local",)
         # Uplink destination per device: its edge when an edge tier exists,
         # the cloud otherwise (mirrors how partition_ddnn wires the fabric).
         self._uplink_destination = {}
@@ -186,7 +203,7 @@ class DeviceTierSection(TierSection):
         intake_s = np.zeros(batch)
         intake_bytes = np.zeros(batch)
         compute_s = np.zeros(batch)
-        logits: Optional[np.ndarray] = None
+        exit_logits: List[np.ndarray] = []
         aggregate_seconds = 0.0
 
         if self.exit_index is not None:
@@ -213,10 +230,11 @@ class DeviceTierSection(TierSection):
                         intake_s[sample], device_latency[device_index] + seconds
                     )
             logits, aggregate_seconds = self._aggregate(aggregator, device_scores, plans)
+            exit_logits.append(logits)
             compute_s += aggregate_seconds / max(batch, 1)
 
         return SectionResult(
-            logits=logits,
+            exit_logits=exit_logits,
             carry=(device_features, delivered),
             service_s=float(device_seconds.max(initial=0.0)) + aggregate_seconds,
             intake_s=intake_s,
@@ -305,8 +323,8 @@ class EdgeTierSection(TierSection):
         compiled=None,
     ) -> None:
         self.deployment = deployment
-        self.exit_index = exit_index
-        self.exit_name = "edge" if exit_index is not None else ""
+        if exit_index is not None:
+            self.exit_indices, self.exit_names = (exit_index,), ("edge",)
         #: Optional runtime-level CompiledDDNN whose edge_exit_aggregator is
         #: used when no per-worker plan bundle is supplied.
         self.compiled = compiled
@@ -328,14 +346,12 @@ class EdgeTierSection(TierSection):
 
         # An exit-less edge tier (boundary moved up) skips the exit-logit
         # fusion entirely — features still flow to the cloud unchanged.
-        logits = (
-            self._fuse_exit_logits(edge_logit_list, plans)
-            if self.exit_index is not None
-            else None
+        exit_logits = (
+            [self._fuse_exit_logits(edge_logit_list, plans)] if self.exit_indices else []
         )
         per_sample = float(edge_seconds.max(initial=0.0)) / max(batch, 1)
         return SectionResult(
-            logits=logits,
+            exit_logits=exit_logits,
             carry=edge_features,
             service_s=float(edge_seconds.max(initial=0.0)),
             intake_s=np.zeros(batch),
@@ -411,8 +427,7 @@ class CloudTierSection(TierSection):
 
     def __init__(self, deployment: HierarchyDeployment, exit_index: int) -> None:
         self.deployment = deployment
-        self.exit_index = exit_index
-        self.exit_name = "cloud"
+        self.exit_indices, self.exit_names = (exit_index,), ("cloud",)
 
     def process(self, payload, plans=None) -> SectionResult:
         sources = [np.asarray(array) for array in payload]
@@ -420,7 +435,7 @@ class CloudTierSection(TierSection):
         logits, seconds = self._cloud_forward(sources, plans)
         per_sample = seconds / max(batch, 1)
         return SectionResult(
-            logits=logits,
+            exit_logits=[logits],
             carry=None,
             service_s=seconds,
             intake_s=np.zeros(batch),
@@ -444,6 +459,54 @@ class CloudTierSection(TierSection):
 
     def transfer_estimate_s(self) -> float:
         raise RuntimeError("the cloud tier is final; nothing offloads past it")
+
+
+class CascadeSection(TierSection):
+    """The whole exit cascade on one worker: the single-server tier.
+
+    ``process`` runs the full DDNN forward on raw multi-view batches —
+    eager, or the worker's compiled bundle — and returns every exit's
+    logits, so a one-tier fabric routes each row to its earliest confident
+    exit exactly as :meth:`~repro.core.cascade.ExitCascade.run_model` does.
+    Nothing crosses a link: no bytes and no transfer delay are charged.
+    The worker is busy for the forward's measured wall-clock time; pass the
+    fabric a :class:`~repro.serving.loadgen.ServiceModel` for a
+    machine-independent timeline.
+    """
+
+    tier_name = "cascade"
+
+    def __init__(self, model) -> None:
+        self.model = model
+        self.exit_names = tuple(model.exit_names)
+        self.exit_indices = tuple(range(len(self.exit_names)))
+
+    def process(self, payload, plans=None) -> SectionResult:
+        views = np.asarray(payload)
+        batch = len(views)
+        started = time.perf_counter()
+        if plans is not None:
+            output = plans(views)
+        else:
+            with no_grad():
+                output = self.model(views)
+        # Copies: compiled plans hand out views into their reused buffers.
+        exit_logits = [np.array(getattr(logits, "data", logits)) for logits in output.exit_logits]
+        seconds = time.perf_counter() - started
+        return SectionResult(
+            exit_logits=exit_logits,
+            carry=None,
+            service_s=seconds,
+            intake_s=np.zeros(batch),
+            compute_s=np.full(batch, seconds / max(batch, 1)),
+            intake_bytes=np.zeros(batch),
+        )
+
+    def offload(self, carry, rows: np.ndarray) -> TransferResult:
+        raise RuntimeError("the cascade tier is final; nothing offloads past it")
+
+    def transfer_estimate_s(self) -> float:
+        raise RuntimeError("the cascade tier is final; nothing offloads past it")
 
 
 def build_tier_sections(

@@ -3,32 +3,30 @@
 The paper frames DDNN as a serving system: end devices stream samples
 upward, most requests exit at the local aggregator, and the cloud only sees
 the hard tail.  This package provides the online counterpart of the offline
-:class:`~repro.core.inference.StagedInferenceEngine`:
+:class:`~repro.core.inference.StagedInferenceEngine`, built around one
+serving engine:
 
-* :class:`RequestQueue` / :class:`ClientSession` — request intake with
-  per-client bookkeeping, optional capacity bound and QoS weights;
-* :class:`AdmissionPolicy` (:class:`RejectNewest`, :class:`DropOldest`,
-  :class:`ShedToLocalExit`) — what a full queue does under overload;
-* :class:`BatchingPolicy` / :class:`MicroBatcher` — dynamic micro-batching
-  with ``max_batch_size`` and ``max_wait_s`` knobs, QoS-weighted draining;
-* :class:`DDNNServer` — a synchronous-loop server draining the queue
-  through the shared :class:`~repro.core.cascade.ExitCascade`, routing
-  responses per exit, with an immediate local-exit path for shed requests;
-* :class:`ServerStats` — rolling throughput / latency / exit-rate
-  telemetry with pinned window semantics;
-* :class:`LoadGenerator` + arrival processes (:class:`PoissonProcess`,
-  :class:`BurstyProcess`, :class:`DiurnalProcess`, :class:`TraceReplay`)
-  and :class:`ServiceModel` — deterministic open-loop overload studies on
-  a :class:`SimulatedClock`;
-* :class:`DistributedServingFabric` — the tier-aware distributed runtime:
-  an :class:`EventLoop`-driven fabric of :class:`TierServer`s (N workers
-  per tier, per-worker compiled plans) where offloads cross
+* :class:`DistributedServingFabric` — the tier-aware runtime: an
+  :class:`EventLoop`-driven fabric of :class:`TierServer`s (N workers per
+  tier, per-worker compiled plans) where offloads cross
   :class:`~repro.hierarchy.network.NetworkFabric` links with simulated
-  transfer delay, with optional :class:`AdaptiveThreshold` shedding.
-  :class:`DDNNServer` is its single-tier degenerate case, and
-  :class:`~repro.hierarchy.runtime.HierarchyRuntime` its offline replay.
+  transfer delay, with optional :class:`AdaptiveThreshold` shedding.  A
+  single inference server is its one-tier case
+  (:meth:`DistributedServingFabric.single_tier`: every worker runs the
+  whole cascade), and :class:`~repro.hierarchy.runtime.HierarchyRuntime`
+  its offline replay;
+* :class:`AdmissionPolicy` (:class:`RejectNewest`, :class:`DropOldest`,
+  :class:`ShedToLocalExit`, :class:`TokenBucketPolicy`,
+  :class:`AdaptiveShed`) — what a bounded ingress queue does under
+  overload;
+* :class:`BatchingPolicy` — dynamic micro-batching with ``max_batch_size``
+  and ``max_wait_s`` knobs;
+* arrival processes (:class:`PoissonProcess`, :class:`BurstyProcess`,
+  :class:`DiurnalProcess`, :class:`TraceReplay`) and :class:`ServiceModel`
+  — deterministic open-loop overload studies
+  (:meth:`DistributedServingFabric.open_loop`) on a :class:`SimulatedClock`;
 * :class:`WorkerPool` backends (:class:`SimulatedWorkerPool`,
-  :class:`ThreadPoolWorkerPool`) — how fabric/server workers occupy time:
+  :class:`ThreadPoolWorkerPool`) — how fabric workers occupy time:
   deterministic simulated slots (the paper-table default) or real
   :class:`~concurrent.futures.ThreadPoolExecutor` threads running
   per-worker compiled plan bundles against a :class:`WallClock`, turning
@@ -63,10 +61,8 @@ from .admission import (
     AdaptiveShed,
     AdmissionOutcome,
     AdmissionPolicy,
-    AdmissionResult,
     AdmissionStats,
     DropOldest,
-    QueueFullError,
     RejectNewest,
     ShedToLocalExit,
     TokenBucketPolicy,
@@ -74,7 +70,7 @@ from .admission import (
 )
 from .autoscale import Autoscaler, RateTracker
 from .balancer import BALANCER_STRATEGIES, LoadBalancer
-from .batcher import BatchingPolicy, MicroBatcher
+from .batcher import BatchingPolicy
 from .clock import EventHandle, EventLoop, SimulatedClock, WallClock
 from .fabric import (
     AdaptiveThreshold,
@@ -89,13 +85,10 @@ from .loadgen import (
     ArrivalProcess,
     BurstyProcess,
     DiurnalProcess,
-    LoadGenerator,
-    LoadReport,
     PoissonProcess,
     ServiceModel,
     TraceReplay,
 )
-from .queue import ClientSession, InferenceRequest, InferenceResponse, RequestQueue
 from .resilience import (
     BreakerState,
     CircuitBreaker,
@@ -104,8 +97,6 @@ from .resilience import (
     ResilienceStats,
     RetryPolicy,
 )
-from .server import DDNNServer
-from .stats import ServerStats, StatsSnapshot
 from .workers import (
     WORKER_POOL_BACKENDS,
     SimulatedWorkerPool,
@@ -116,12 +107,7 @@ from .workers import (
 )
 
 __all__ = [
-    "InferenceRequest",
-    "InferenceResponse",
-    "ClientSession",
-    "RequestQueue",
     "AdmissionOutcome",
-    "AdmissionResult",
     "AdmissionStats",
     "AdmissionPolicy",
     "RejectNewest",
@@ -129,14 +115,9 @@ __all__ = [
     "ShedToLocalExit",
     "TokenBucketPolicy",
     "AdaptiveShed",
-    "QueueFullError",
     "ADMISSION_POLICIES",
     "admission_policy",
     "BatchingPolicy",
-    "MicroBatcher",
-    "DDNNServer",
-    "ServerStats",
-    "StatsSnapshot",
     "SimulatedClock",
     "WallClock",
     "EventLoop",
@@ -170,6 +151,4 @@ __all__ = [
     "DiurnalProcess",
     "TraceReplay",
     "ServiceModel",
-    "LoadGenerator",
-    "LoadReport",
 ]

@@ -1,9 +1,10 @@
-"""Admission control for the bounded serving queue (overload protection).
+"""Admission control for the bounded ingress queue (overload protection).
 
 The paper's end devices stream samples upward continuously, so a serving
 tier must decide what to do when requests arrive faster than the cascade
 can drain them.  An unbounded FIFO queue keeps every request but lets
-latency grow without bound; a bounded :class:`~repro.serving.queue.RequestQueue`
+latency grow without bound; a fabric with a bounded ingress queue
+(:class:`~repro.serving.fabric.DistributedServingFabric` ``capacity``)
 instead consults an :class:`AdmissionPolicy` whenever it is full:
 
 * :class:`RejectNewest` — refuse the arriving request (classic tail-drop
@@ -22,7 +23,7 @@ queue is full (``pre_queue = True``):
 * :class:`TokenBucketPolicy` — per-client token buckets: each client may
   burst up to ``burst`` requests and sustain ``rate_rps``; a client out of
   tokens is rejected regardless of queue depth, so one chatty client can
-  no longer crowd out the rest before QoS weighting even gets a say;
+  no longer crowd out the rest;
 * :class:`AdaptiveShed` — queue-pressure shedding that *raises the
   local-exit threshold instead of rejecting outright*: past a backlog
   watermark, arriving requests are answered from the local exit when their
@@ -30,24 +31,19 @@ queue is full (``pre_queue = True``):
   the watermark, ``relaxed_threshold`` at a full queue) and queued normally
   otherwise.
 
-Policies are pure decision functions; the queue interprets the decision and
-does all bookkeeping, so policies stay trivially testable.  Aggregate
-counts live in :class:`AdmissionStats` (queue-wide) and on each
-:class:`~repro.serving.queue.ClientSession` (per client).
+Policies are pure decision functions; the fabric interprets the decision
+and does all bookkeeping, so policies stay trivially testable.  Aggregate
+counts live in :class:`AdmissionStats`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .queue import InferenceRequest, RequestQueue
+from typing import Dict, Optional, Protocol
 
 __all__ = [
     "AdmissionOutcome",
-    "AdmissionResult",
     "AdmissionStats",
     "AdmissionPolicy",
     "RejectNewest",
@@ -55,13 +51,18 @@ __all__ = [
     "ShedToLocalExit",
     "TokenBucketPolicy",
     "AdaptiveShed",
-    "QueueFullError",
     "admission_policy",
 ]
 
 
-class QueueFullError(RuntimeError):
-    """Raised by :meth:`RequestQueue.submit` when admission refuses a request."""
+class QueueView(Protocol):
+    """What a policy may read of the queue it guards."""
+
+    capacity: Optional[int]
+
+    def __len__(self) -> int: ...
+
+    def clock(self) -> float: ...
 
 
 class AdmissionOutcome(str, Enum):
@@ -75,34 +76,9 @@ class AdmissionOutcome(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class AdmissionResult:
-    """Outcome of offering one request to the queue.
-
-    Attributes
-    ----------
-    outcome:
-        ``ACCEPTED`` (enqueued), ``REJECTED`` (refused, ``request`` is None)
-        or ``SHED`` (not enqueued; ``request`` carries the sample so the
-        caller can answer it from the local exit).
-    request:
-        The admitted or shed request, ``None`` on rejection.
-    evicted:
-        The head-of-line request removed to make room (``DropOldest`` only).
-    """
-
-    outcome: AdmissionOutcome
-    request: Optional["InferenceRequest"] = None
-    evicted: Optional["InferenceRequest"] = None
-
-    @property
-    def accepted(self) -> bool:
-        return self.outcome is AdmissionOutcome.ACCEPTED
-
-
 @dataclass
 class AdmissionStats:
-    """Queue-wide admission counters (exact, never windowed)."""
+    """Ingress admission counters (exact, never windowed)."""
 
     accepted: int = 0
     rejected: int = 0
@@ -136,7 +112,7 @@ class AdmissionStats:
 
 
 class AdmissionPolicy:
-    """Decides what the queue does with an arriving request.
+    """Decides what a bounded ingress queue does with an arriving request.
 
     By default ``decide`` is only consulted when the queue is bounded *and*
     full; an unbounded queue accepts everything, preserving the original
@@ -149,7 +125,7 @@ class AdmissionPolicy:
     #: Consult ``decide`` on every offer, not only when the queue is full.
     pre_queue = False
 
-    def decide(self, queue: "RequestQueue", client_id: str) -> AdmissionOutcome:
+    def decide(self, queue: QueueView, client_id: str) -> AdmissionOutcome:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -161,7 +137,7 @@ class RejectNewest(AdmissionPolicy):
 
     name = "reject"
 
-    def decide(self, queue: "RequestQueue", client_id: str) -> AdmissionOutcome:
+    def decide(self, queue: QueueView, client_id: str) -> AdmissionOutcome:
         return AdmissionOutcome.REJECTED
 
 
@@ -170,23 +146,22 @@ class DropOldest(AdmissionPolicy):
 
     name = "drop-oldest"
 
-    def decide(self, queue: "RequestQueue", client_id: str) -> AdmissionOutcome:
-        # The queue interprets ACCEPTED-while-full as "evict the head first".
+    def decide(self, queue: QueueView, client_id: str) -> AdmissionOutcome:
+        # The fabric interprets ACCEPTED-while-full as "evict the head first".
         return AdmissionOutcome.ACCEPTED
 
 
 class ShedToLocalExit(AdmissionPolicy):
     """Answer the arriving request from the local exit instead of queueing.
 
-    The queue stays intact; the request is stamped and returned with a
-    ``SHED`` outcome so the server can produce an immediate, local-exit-only
-    response — the degraded-but-bounded-latency mode of the paper's
-    deployment.
+    The queue stays intact; on a ``SHED`` outcome the fabric produces an
+    immediate, local-exit-only response — the degraded-but-bounded-latency
+    mode of the paper's deployment.
     """
 
     name = "shed-local"
 
-    def decide(self, queue: "RequestQueue", client_id: str) -> AdmissionOutcome:
+    def decide(self, queue: QueueView, client_id: str) -> AdmissionOutcome:
         return AdmissionOutcome.SHED
 
 
@@ -232,7 +207,7 @@ class TokenBucketPolicy(AdmissionPolicy):
         bucket[1] = now
         return bucket[0]
 
-    def decide(self, queue: "RequestQueue", client_id: str) -> AdmissionOutcome:
+    def decide(self, queue: QueueView, client_id: str) -> AdmissionOutcome:
         now = queue.clock()
         if self.tokens(client_id, now) < 1.0:
             return AdmissionOutcome.REJECTED
@@ -255,7 +230,7 @@ class AdaptiveShed(AdmissionPolicy):
     """Shed by raising the local-exit threshold under queue pressure.
 
     Below ``low_watermark * capacity`` backlog, every request is accepted.
-    Above it, arriving requests are *offered* to the local exit: the server
+    Above it, arriving requests are *offered* to the local exit: the fabric
     answers them locally when their local-exit entropy is at most the
     pressure-interpolated threshold returned by :meth:`shed_threshold`
     (the cascade's own local threshold right at the watermark, ramping to
@@ -280,7 +255,7 @@ class AdaptiveShed(AdmissionPolicy):
         self.low_watermark = float(low_watermark)
         self.relaxed_threshold = float(relaxed_threshold)
 
-    def _pressure(self, queue: "RequestQueue") -> float:
+    def _pressure(self, queue: QueueView) -> float:
         if queue.capacity is None:
             raise ValueError("AdaptiveShed requires a bounded queue (set capacity)")
         trigger = self.low_watermark * queue.capacity
@@ -288,13 +263,13 @@ class AdaptiveShed(AdmissionPolicy):
             return 1.0
         return min(max((len(queue) - trigger) / (queue.capacity - trigger), 0.0), 1.0)
 
-    def shed_threshold(self, queue: "RequestQueue", base_threshold: float) -> float:
+    def shed_threshold(self, queue: QueueView, base_threshold: float) -> float:
         """Effective local-exit entropy bound for shedding at current pressure."""
         pressure = self._pressure(queue)
         ceiling = max(self.relaxed_threshold, base_threshold)
         return base_threshold + pressure * (ceiling - base_threshold)
 
-    def decide(self, queue: "RequestQueue", client_id: str) -> AdmissionOutcome:
+    def decide(self, queue: QueueView, client_id: str) -> AdmissionOutcome:
         if self._pressure(queue) > 0.0:
             return AdmissionOutcome.SHED
         return AdmissionOutcome.ACCEPTED

@@ -1,6 +1,7 @@
-"""Dynamic micro-batching scheduler for the DDNN server.
+"""Dynamic micro-batching policy for the serving fabric's tiers.
 
-The scheduler trades latency for throughput with two knobs:
+Each :class:`~repro.serving.fabric.TierServer` trades latency for throughput
+with two knobs:
 
 * ``max_batch_size`` — never run the model on more samples than this;
 * ``max_wait_s`` — never hold the head-of-line request longer than this
@@ -9,23 +10,15 @@ The scheduler trades latency for throughput with two knobs:
 A batch is released as soon as it is full, or as soon as the oldest
 pending request has waited ``max_wait_s``.  ``max_batch_size=1`` degrades
 to sequential (request-at-a-time) serving, which is the baseline the
-throughput benchmark compares against.
-
-Batch *composition* honours per-client QoS weights: draining delegates to
-:meth:`~repro.serving.queue.RequestQueue.pop_batch`, which switches from
-pure FIFO to weighted round-robin once any client weight is configured
-(see :meth:`MicroBatcher.set_client_weight`), so a backlogged high-priority
-client gets proportionally more slots per micro-batch.
+throughput benchmark compares against.  Batches form in FIFO order (or
+earliest-deadline-first when the fabric asks for it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
 
-from .queue import InferenceRequest, RequestQueue
-
-__all__ = ["BatchingPolicy", "MicroBatcher"]
+__all__ = ["BatchingPolicy"]
 
 
 @dataclass(frozen=True)
@@ -45,46 +38,3 @@ class BatchingPolicy:
     def sequential(cls) -> "BatchingPolicy":
         """The batch-size-1 baseline: every request runs alone."""
         return cls(max_batch_size=1, max_wait_s=0.0)
-
-
-class MicroBatcher:
-    """Drains a :class:`RequestQueue` into micro-batches per the policy."""
-
-    def __init__(
-        self,
-        queue: RequestQueue,
-        policy: Optional[BatchingPolicy] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        self.queue = queue
-        self.policy = policy if policy is not None else BatchingPolicy()
-        self.clock = clock if clock is not None else queue.clock
-        self.batches_formed = 0
-
-    def set_client_weight(self, client_id: str, weight: float) -> None:
-        """Assign a QoS weight (relative micro-batch share) to a client."""
-        self.queue.set_weight(client_id, weight)
-
-    def ready(self, now: Optional[float] = None) -> bool:
-        """Whether a batch should be released right now."""
-        depth = len(self.queue)
-        if depth == 0:
-            return False
-        if depth >= self.policy.max_batch_size:
-            return True
-        now = self.clock() if now is None else now
-        return self.queue.oldest_wait_s(now) >= self.policy.max_wait_s
-
-    def next_batch(self, force: bool = False) -> List[InferenceRequest]:
-        """Release the next micro-batch, or ``[]`` if none is due.
-
-        With ``force=True`` a non-empty queue always yields a batch, even if
-        neither the size nor the wait trigger has fired — used when draining
-        the queue at shutdown.
-        """
-        if not force and not self.ready():
-            return []
-        batch = self.queue.pop_batch(self.policy.max_batch_size)
-        if batch:
-            self.batches_formed += 1
-        return batch

@@ -16,9 +16,10 @@ The fabric is a discrete-event simulation on the shared
   (eager, or a per-worker compiled plan bundle, so the compile-path buffer
   arenas are safe by construction);
 * a batch occupies a worker for the section's modelled compute time (or an
-  explicit :class:`~repro.serving.loadgen.ServiceModel` override), then its
-  rows either exit — producing a :class:`FabricResponse` — or are offloaded
-  to the next tier, arriving after the link's transfer delay;
+  explicit :class:`~repro.serving.loadgen.ServiceModel` override), then each
+  row either takes the earliest confident exit the tier owns — producing a
+  :class:`FabricResponse` — or is offloaded to the next tier, arriving after
+  the link's transfer delay;
 * everything (arrival interleaving, batch formation, worker assignment,
   transfer timing) is deterministic in simulated time.
 
@@ -34,10 +35,12 @@ number.  Exit decisions are byte-identical across backends; only timing
 Exit decisions are byte-identical to the monolithic single-loop baseline
 (:meth:`~repro.core.cascade.ExitCascade.run_model`) for any worker count
 and link configuration — workers and links change *when* things happen,
-never *what* is computed (covered by tests).  The single-tier special case
-of this fabric is exactly what :class:`~repro.serving.server.DDNNServer`
-implements; the offline :class:`~repro.hierarchy.runtime.HierarchyRuntime`
-is the fabric replayed at infinite arrival rate.
+never *what* is computed (covered by tests).  A single inference server is
+the one-tier case: :meth:`DistributedServingFabric.single_tier` runs the
+whole cascade on each worker through a
+:class:`~repro.hierarchy.sections.CascadeSection`.  The offline
+:class:`~repro.hierarchy.runtime.HierarchyRuntime` is the fabric replayed
+at infinite arrival rate.
 
 Overload behaviour can additionally be made *adaptive*: an
 :class:`AdaptiveThreshold` raises the local-exit threshold while the device
@@ -60,9 +63,14 @@ from ..core.exits import ExitCriterion
 from ..datasets.mvmc import MVMCDataset
 from ..hierarchy.faults import ChaosSchedule
 from ..hierarchy.network import Message, NetworkLink
-from ..hierarchy.partition import HierarchyDeployment, LinkSpec
+from ..hierarchy.partition import HierarchyDeployment, LinkSpec, partition_ddnn
 from ..hierarchy.plan import PartitionPlan
-from ..hierarchy.sections import TierSection, build_tier_sections, stack_rows
+from ..hierarchy.sections import (
+    CascadeSection,
+    TierSection,
+    build_tier_sections,
+    stack_rows,
+)
 from ..nn.tensor import no_grad
 from .admission import (
     AdmissionOutcome,
@@ -324,14 +332,12 @@ class _OffloadGroup:
 
 
 class _IngressQueueView:
-    """The device-tier queue through an :class:`AdmissionPolicy`'s eyes.
+    """The ingress (tier-0) queue through an :class:`AdmissionPolicy`'s eyes.
 
-    Policies were written against :class:`~repro.serving.queue.RequestQueue`
-    and only touch its ``capacity``, ``len()``, ``clock()`` and ``admission``
-    surface; this adapter presents the fabric's tier-0 backlog the same way
-    so the whole policy registry (reject / drop-oldest / shed-local /
-    token-bucket / adaptive-shed) applies to the distributed fabric
-    unchanged.
+    Policies only read a queue's ``capacity``, ``len()``, ``clock()`` and
+    ``admission``; this adapter presents the fabric's tier-0 backlog that
+    way, so the whole policy registry (reject / drop-oldest / shed-local /
+    token-bucket / adaptive-shed) applies to every fabric.
     """
 
     def __init__(self, fabric: "DistributedServingFabric") -> None:
@@ -857,6 +863,22 @@ class DistributedServingFabric:
             fabric.enable_autoscaling(plan.autoscale_policies())
         return fabric
 
+    @classmethod
+    def single_tier(
+        cls, model, thresholds: Thresholds, **kwargs
+    ) -> "DistributedServingFabric":
+        """A one-tier fabric: every worker runs the whole cascade.
+
+        This is a single inference server — one queue, one batching policy,
+        ``workers_per_tier`` workers each routing its batch through a
+        :class:`~repro.hierarchy.sections.CascadeSection`, no inter-tier
+        links.  Keyword arguments go to the constructor unchanged
+        (batching, compile, backend, capacity, admission, ...).
+        """
+        return cls(
+            partition_ddnn(model), thresholds, sections=[CascadeSection(model)], **kwargs
+        )
+
     # ------------------------------------------------------------------ #
     def submit(
         self,
@@ -980,14 +1002,13 @@ class DistributedServingFabric:
             )
 
     def _admit(self, request: FabricRequest, payload: object, now: float) -> int:
-        """Offer one fresh arrival to the bounded device-tier queue.
+        """Offer one fresh arrival to the bounded ingress (tier-0) queue.
 
-        Mirrors :meth:`RequestQueue.offer` / :meth:`RequestQueue.requeue`
-        accounting exactly: accepted requests enqueue (evicting the head
-        under drop-oldest, counted ``dropped``), rejected ones vanish with a
-        counter, shed ones are answered immediately from the first exit —
-        and an adaptive policy's conditional shed rolls its ``shed`` count
-        back into ``accepted`` when the entropy probe forces a requeue.
+        Accepted requests enqueue (evicting the head under drop-oldest,
+        counted ``dropped``), rejected ones vanish with a counter, shed ones
+        are answered immediately from the first exit — and an adaptive
+        policy's conditional shed rolls its ``shed`` count back into
+        ``accepted`` when the entropy probe forces a requeue.
         Returns the number of requests enqueued (0 or 1).
         """
         queue = self.tiers[0].queue
@@ -1067,11 +1088,10 @@ class DistributedServingFabric:
     ) -> Optional[FabricResponse]:
         """Answer a shed request from the first exit, bypassing the tiers.
 
-        Mirrors :meth:`DDNNServer._shed_to_local`: the sample is evaluated
-        through the cascade's first exit directly (compiled plan when the
-        fabric compiles, eager otherwise) with no hierarchy byte/latency
-        accounting — a shed answer is produced at the ingress, before the
-        request ever enters the tier plane.  With ``max_entropy`` set the
+        The sample is evaluated through the cascade's first exit directly
+        (compiled plan when the fabric compiles, eager otherwise) with no
+        hierarchy byte/latency accounting — a shed answer is produced at
+        the ingress, before the request ever enters the tier plane.  With ``max_entropy`` set the
         answer is only delivered when its entropy clears the bound;
         ``None`` is returned otherwise so the caller can queue the request.
         With ``degraded=True`` the same first-exit evaluation serves an
@@ -1079,7 +1099,6 @@ class DistributedServingFabric:
         tier had none), flagged ``degraded`` instead of ``shed``.
         """
         exit_index = self._require_first_exit()
-        self.model.eval()
         if self.compile_enabled:
             output = self.cascade.compiled_for(self.model)(request.views[None])
         else:
@@ -1277,8 +1296,7 @@ class DistributedServingFabric:
                 ),
             )
 
-    def _criterion(self, tier_index: int, relaxed: bool) -> ExitCriterion:
-        exit_index = self.sections[tier_index].exit_index
+    def _criterion(self, exit_index: int, relaxed: bool) -> ExitCriterion:
         criterion = self.cascade.criteria[exit_index]
         if relaxed:
             assert self.adaptive is not None
@@ -1302,21 +1320,34 @@ class DistributedServingFabric:
             item.request.path_latency_s += float(result.intake_s[row] + result.compute_s[row])
             item.request.bytes_transferred += float(result.intake_bytes[row])
 
-        if section.exit_index is None:
-            exit_mask = np.zeros(batch_size, dtype=bool)
-            decision = None
-        else:
-            decision = self._criterion(tier_index, relaxed).evaluate(result.logits)
-            exit_mask = np.ones(batch_size, dtype=bool) if final else decision.exit_mask
+        # Route the rows over the exits this tier owns, in cascade order: a
+        # row takes the first exit it is confident at, and the final exit of
+        # the final tier takes every row still pending.  Only the ingress
+        # tier's first exit is ever relaxed by adaptive shedding.
+        decisions = []
+        taken = np.full(batch_size, -1)
+        pending = np.ones(batch_size, dtype=bool)
+        last = len(section.exit_indices) - 1
+        for position, (exit_index, logits) in enumerate(
+            zip(section.exit_indices, result.exit_logits)
+        ):
+            decision = self._criterion(exit_index, relaxed and position == 0).evaluate(logits)
+            take = pending.copy() if final and position == last else decision.exit_mask & pending
+            taken[take] = position
+            pending &= ~take
+            decisions.append(decision)
 
-        for row in np.flatnonzero(exit_mask):
+        for row in np.flatnonzero(taken >= 0):
+            position = int(taken[row])
+            decision = decisions[position]
             request = batch[row].request
+            row_relaxed = relaxed and position == 0
             response = FabricResponse(
                 request_id=request.request_id,
                 client_id=request.client_id,
                 prediction=int(decision.predictions[row]),
-                exit_index=section.exit_index,
-                exit_name=section.exit_name,
+                exit_index=section.exit_indices[position],
+                exit_name=section.exit_names[position],
                 entropy=float(decision.entropies[row]),
                 target=request.target,
                 submit_time=request.submit_time,
@@ -1324,27 +1355,28 @@ class DistributedServingFabric:
                 path_latency_s=request.path_latency_s,
                 bytes_transferred=request.bytes_transferred,
                 batch_size=batch_size,
-                relaxed=relaxed,
+                relaxed=row_relaxed,
                 retries=request.retries,
             )
-            if relaxed:
+            if row_relaxed:
                 self.relaxed_samples += 1
             self._finalize(request, response)
 
-        remaining = np.flatnonzero(~exit_mask)
+        remaining = np.flatnonzero(pending)
         if remaining.size:
             # Remember the decision each non-exiting row would fail over or
             # retire to (the deepest exit already cleared) — maintained on
             # the resilient path and for any deadline-carrying request.
-            if decision is not None:
+            if decisions:
+                decision = decisions[-1]
                 for row in remaining:
                     request = batch[row].request
                     if self.offload_policy is not None or request.deadline is not None:
                         request.fallback = (
                             int(decision.predictions[row]),
                             float(decision.entropies[row]),
-                            section.exit_index,
-                            section.exit_name,
+                            section.exit_indices[-1],
+                            section.exit_names[-1],
                         )
             # SLO budget pre-filter: a row whose remaining budget cannot
             # cover even the (conservative, chargeless) transfer estimate is
@@ -1864,16 +1896,21 @@ class DistributedServingFabric:
 
         Every sample arrives at once and batches are force-drained (the
         batching policy's size cap still applies), which is exactly the
-        offline hierarchy-runtime regime.
+        offline hierarchy-runtime regime.  On a bounded ingress queue the
+        samples arrive ``capacity`` at a time, each group drained before the
+        next, so a full queue never rejects, evicts or sheds one of them.
         """
         first_id = self._next_id
-        self.submit_many(
-            [dataset.images[index] for index in range(len(dataset))],
-            client_id=client_id,
-            targets=[int(label) for label in dataset.labels],
-            at=at,
-        )
-        self.run_until_idle(drain=True)
+        chunk = self.capacity if self.capacity is not None else max(len(dataset), 1)
+        for start in range(0, len(dataset), chunk):
+            stop = min(start + chunk, len(dataset))
+            self.submit_many(
+                [dataset.images[index] for index in range(start, stop)],
+                client_id=client_id,
+                targets=[int(label) for label in dataset.labels[start:stop]],
+                at=at if start == 0 else None,
+            )
+            self.run_until_idle(drain=True)
         mine = [r for r in self.responses if r.request_id >= first_id]
         return sorted(mine, key=lambda response: response.request_id)
 

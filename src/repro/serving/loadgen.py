@@ -1,54 +1,38 @@
-"""Open-loop load generation for tail-latency studies of the DDNN server.
+"""Open-loop load: arrival processes and the batch service-time model.
 
 Closed-loop drivers (submit, wait, repeat) can never overload a server —
 the arrival rate implicitly tracks the service rate, hiding exactly the
-regime the paper's always-on sensor streams live in.  This module drives
-:class:`~repro.serving.server.DDNNServer` **open-loop**: arrivals follow an
-externally-defined stochastic process that does not care whether the server
-keeps up.
-
-Everything runs on a :class:`SimulatedClock` as a deterministic
-discrete-event simulation:
+regime the paper's always-on sensor streams live in.  Open-loop studies
+drive :meth:`~repro.serving.fabric.DistributedServingFabric.open_loop`
+with arrivals from an externally-defined stochastic process that does not
+care whether the fabric keeps up:
 
 * an :class:`ArrivalProcess` (:class:`PoissonProcess`, bursty two-state
-  :class:`BurstyProcess` (MMPP), or :class:`TraceReplay`) yields absolute
-  arrival times from a seeded RNG;
+  :class:`BurstyProcess` (MMPP), :class:`DiurnalProcess`, or
+  :class:`TraceReplay`) yields absolute arrival times from a seeded RNG;
 * a :class:`ServiceModel` (affine in batch size: ``overhead + n * per_sample``)
-  stands in for wall-clock compute, so latency numbers are exactly
-  reproducible and independent of the machine running the study;
-* :class:`LoadGenerator` interleaves arrivals and batch completions in
-  simulated-time order, submitting through the server's admission control
-  (:meth:`DDNNServer.offer`) and running real model inference for every
-  served batch — predictions are real, only *time* is simulated.
-
-The per-request latencies, reject/drop/shed rates and tail percentiles are
-summarised in a :class:`LoadReport`.
+  stands in for wall-clock compute, so simulated latency numbers are
+  exactly reproducible and independent of the machine running the study.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .admission import AdmissionOutcome
-from .clock import SimulatedClock
-from .queue import InferenceResponse
-from .server import DDNNServer
+from ..core.cascade import ExitCascade
 
 __all__ = [
-    "SimulatedClock",
     "ArrivalProcess",
     "PoissonProcess",
     "BurstyProcess",
     "DiurnalProcess",
     "TraceReplay",
     "ServiceModel",
-    "LoadReport",
-    "LoadGenerator",
 ]
 
 
@@ -218,7 +202,7 @@ class ServiceModel:
     The affine shape is what micro-batching exploits (amortising the fixed
     overhead over ``n`` samples) and is what the real NumPy forward pass
     exhibits; :meth:`measure` calibrates the two coefficients from real
-    timings of a server when machine-specific numbers are wanted.
+    forward timings when machine-specific numbers are wanted.
     """
 
     batch_overhead_s: float = 0.002
@@ -242,12 +226,18 @@ class ServiceModel:
     @classmethod
     def measure(
         cls,
-        server: DDNNServer,
+        model,
+        cascade: ExitCascade,
         views: np.ndarray,
         batch_size: int = 32,
         repeats: int = 3,
     ) -> "ServiceModel":
-        """Calibrate from real wall-clock forwards at sizes 1 and ``batch_size``."""
+        """Calibrate from real wall-clock forwards at sizes 1 and ``batch_size``.
+
+        Each forward routes ``views`` through ``cascade`` on ``model``
+        (compiled when the cascade compiles), exactly what one worker of a
+        single-tier fabric computes per batch.
+        """
         if batch_size < 2:
             raise ValueError("batch_size must be >= 2 to fit two coefficients")
         views = np.asarray(views)
@@ -257,7 +247,7 @@ class ServiceModel:
             best = math.inf
             for _ in range(repeats):
                 started = time.perf_counter()
-                server.cascade.run_model(server.model, batch, batch_size=n)
+                cascade.run_model(model, batch, batch_size=n)
                 best = min(best, time.perf_counter() - started)
             return best
 
@@ -270,7 +260,8 @@ class ServiceModel:
     @classmethod
     def from_plan_timings(
         cls,
-        server: DDNNServer,
+        model,
+        cascade: ExitCascade,
         views: np.ndarray,
         batch_size: int = 32,
         repeats: int = 3,
@@ -278,17 +269,17 @@ class ServiceModel:
         """Calibrate from the compiled plan's per-op timing hook.
 
         Instead of timing whole wall-clock forwards (:meth:`measure`), this
-        enables :meth:`repro.compile.CompiledDDNN.enable_timing`, runs the
-        server's compiled cascade at batch sizes 1 and ``batch_size``, and
-        fits the affine model to the summed per-op times — pure kernel
-        time, free of Python dispatch and routing noise.  The per-op
-        breakdown stays available on the compiled plan afterwards
-        (``server.cascade.compiled_for(server.model).op_timings()``).
+        enables :meth:`repro.compile.CompiledDDNN.enable_timing`, runs
+        ``cascade`` compiled on ``model`` at batch sizes 1 and
+        ``batch_size``, and fits the affine model to the summed per-op
+        times — pure kernel time, free of Python dispatch and routing
+        noise.  The per-op breakdown stays available on the compiled plan
+        afterwards (``cascade.compiled_for(model).op_timings()``).
         """
         if batch_size < 2:
             raise ValueError("batch_size must be >= 2 to fit two coefficients")
         views = np.asarray(views)
-        compiled = server.cascade.compiled_for(server.model)
+        compiled = cascade.compiled_for(model)
         compiled.enable_timing()
         try:
 
@@ -297,9 +288,7 @@ class ServiceModel:
                 best = math.inf
                 for _ in range(repeats):
                     compiled.reset_timing()
-                    server.cascade.run_model(
-                        server.model, batch, batch_size=n, compile=True
-                    )
+                    cascade.run_model(model, batch, batch_size=n, compile=True)
                     best = min(best, compiled.total_time_s)
                 return best
 
@@ -310,189 +299,3 @@ class ServiceModel:
         per_sample = max((t_full - t_one) / (batch_size - 1), 1e-9)
         overhead = max(t_one - per_sample, 0.0)
         return cls(batch_overhead_s=overhead, per_sample_s=per_sample)
-
-
-@dataclass
-class LoadReport:
-    """Outcome of one open-loop run: admission counts and latency tails.
-
-    Percentiles are over the *queued-and-served* responses (the primary
-    QoS metric); shed responses are answered immediately at the local exit
-    and counted separately.
-    """
-
-    offered: int
-    served: int
-    rejected: int
-    dropped: int
-    shed: int
-    duration_s: float
-    offered_rate_rps: float
-    mean_latency_s: float = 0.0
-    p50_latency_s: float = 0.0
-    p95_latency_s: float = 0.0
-    p99_latency_s: float = 0.0
-    max_latency_s: float = 0.0
-    responses: List[InferenceResponse] = field(default_factory=list)
-    shed_responses: List[InferenceResponse] = field(default_factory=list)
-
-    @property
-    def reject_rate(self) -> float:
-        return self.rejected / self.offered if self.offered else 0.0
-
-    @property
-    def drop_rate(self) -> float:
-        return self.dropped / self.offered if self.offered else 0.0
-
-    @property
-    def shed_rate(self) -> float:
-        return self.shed / self.offered if self.offered else 0.0
-
-
-class LoadGenerator:
-    """Drives a server with an open-loop arrival process in simulated time.
-
-    Parameters
-    ----------
-    server:
-        A :class:`DDNNServer` built on the *same* :class:`SimulatedClock`
-        instance passed here — the generator owns time, the server stamps
-        requests and responses with it.
-    process:
-        The arrival process; each arrival submits one sample.
-    views:
-        Samples cycled through in arrival order, shape
-        ``(num_samples, num_devices, C, H, W)``.
-    targets:
-        Optional labels aligned with ``views`` (enables accuracy tracking).
-    service_model:
-        Simulated compute cost per micro-batch.
-    clients:
-        Client ids assigned round-robin to arrivals.
-    """
-
-    def __init__(
-        self,
-        server: DDNNServer,
-        process: ArrivalProcess,
-        views: np.ndarray,
-        targets: Optional[Sequence[int]] = None,
-        service_model: Optional[ServiceModel] = None,
-        clients: Sequence[str] = ("client-0",),
-    ) -> None:
-        if not isinstance(server.clock, SimulatedClock):
-            raise TypeError(
-                "LoadGenerator needs a server built on a SimulatedClock "
-                "(pass clock=SimulatedClock() to DDNNServer)"
-            )
-        views = np.asarray(views)
-        if views.ndim != 5:
-            raise ValueError(
-                f"views must have shape (num_samples, num_devices, C, H, W), got {views.shape}"
-            )
-        if targets is not None and len(targets) != len(views):
-            raise ValueError("targets must align with views")
-        if not clients:
-            raise ValueError("at least one client id is required")
-        self.server = server
-        self.clock: SimulatedClock = server.clock
-        self.process = process
-        self.views = views
-        self.targets = None if targets is None else [int(t) for t in targets]
-        self.service_model = service_model if service_model is not None else ServiceModel()
-        self.clients = list(clients)
-
-    # ------------------------------------------------------------------ #
-    def _next_release_time(self, busy_until: float, draining: bool) -> float:
-        """When the next micro-batch may start, given queue state and policy."""
-        queue = self.server.queue
-        head = queue.peek_oldest()
-        if head is None:
-            return math.inf
-        policy = self.server.batcher.policy
-        if draining or len(queue) >= policy.max_batch_size:
-            trigger = self.clock.now
-        else:
-            trigger = head.enqueue_time + policy.max_wait_s
-        return max(trigger, busy_until, self.clock.now)
-
-    def run(self, num_requests: int) -> LoadReport:
-        """Generate ``num_requests`` arrivals, then drain; returns the report.
-
-        A finite :class:`TraceReplay` may end the run early.  Batches start
-        when the batching policy fires *and* the (single) serving worker is
-        free; each batch occupies the worker for the service model's batch
-        time, which is how sustained overload turns into queueing delay.
-        """
-        if num_requests < 1:
-            raise ValueError(f"num_requests must be >= 1, got {num_requests}")
-        arrivals = iter(self.process)
-        next_arrival = next(arrivals, None)
-        started_at = self.clock.now
-        busy_until = self.clock.now
-        submitted = 0
-        rejected = 0
-        shed = 0
-        dropped = 0
-        responses: List[InferenceResponse] = []
-        shed_responses: List[InferenceResponse] = []
-
-        while True:
-            arrivals_open = submitted < num_requests and next_arrival is not None
-            if not arrivals_open and len(self.server.queue) == 0:
-                break
-            arrival_time = next_arrival if arrivals_open else math.inf
-            release_time = self._next_release_time(busy_until, draining=not arrivals_open)
-
-            if arrival_time <= release_time:
-                # Arrivals first on ties so a sample landing exactly at a
-                # release instant still joins that batch, like live traffic.
-                self.clock.advance_to(arrival_time)
-                index = submitted % len(self.views)
-                result = self.server.offer(
-                    self.views[index],
-                    client_id=self.clients[submitted % len(self.clients)],
-                    target=None if self.targets is None else self.targets[index],
-                )
-                if result.outcome is AdmissionOutcome.REJECTED:
-                    rejected += 1
-                elif result.outcome is AdmissionOutcome.SHED:
-                    shed += 1
-                    session = self.server.queue.session(result.request.client_id)
-                    if session.responses:
-                        shed_responses.append(session.responses[-1])
-                elif result.evicted is not None:
-                    dropped += 1
-                submitted += 1
-                next_arrival = next(arrivals, None)
-                continue
-
-            # A batch is due: the policy trigger fired and the worker is free.
-            self.clock.advance_to(release_time)
-            batch = self.server.batcher.next_batch(force=True)
-            if not batch:  # pragma: no cover - defensive; queue was non-empty
-                break
-            self.clock.advance(self.service_model.batch_time_s(len(batch)))
-            responses.extend(self.server.process_batch(batch))
-            busy_until = self.clock.now
-
-        duration = max(self.clock.now - started_at, 0.0)
-        latencies = np.array([response.latency_s for response in responses])
-        report = LoadReport(
-            offered=submitted,
-            served=len(responses),
-            rejected=rejected,
-            dropped=dropped,
-            shed=shed,
-            duration_s=duration,
-            offered_rate_rps=submitted / duration if duration > 0 else 0.0,
-            responses=responses,
-            shed_responses=shed_responses,
-        )
-        if latencies.size:
-            report.mean_latency_s = float(latencies.mean())
-            report.p50_latency_s = float(np.percentile(latencies, 50))
-            report.p95_latency_s = float(np.percentile(latencies, 95))
-            report.p99_latency_s = float(np.percentile(latencies, 99))
-            report.max_latency_s = float(latencies.max())
-        return report

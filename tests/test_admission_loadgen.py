@@ -1,4 +1,9 @@
-"""Tests for overload safety: admission control, QoS weights, load generation."""
+"""Tests for overload safety: admission control and open-loop load.
+
+Admission policies are exercised at the ingress of a single-tier serving
+fabric (:meth:`DistributedServingFabric.single_tier`), and open-loop load
+through :meth:`DistributedServingFabric.open_loop` on its simulated clock.
+"""
 
 from __future__ import annotations
 
@@ -8,100 +13,99 @@ import numpy as np
 import pytest
 
 from repro.serving import (
-    AdmissionOutcome,
+    AdaptiveShed,
     BatchingPolicy,
     BurstyProcess,
-    DDNNServer,
+    DistributedServingFabric,
     DropOldest,
-    LoadGenerator,
     PoissonProcess,
-    QueueFullError,
     RejectNewest,
-    RequestQueue,
     ServiceModel,
     ShedToLocalExit,
     SimulatedClock,
+    TokenBucketPolicy,
     TraceReplay,
     admission_policy,
 )
 
+#: Holds batches back long enough that every test arrival meets the queue.
+HOLD = BatchingPolicy(max_batch_size=64, max_wait_s=60.0)
 
-def _views(num_devices: int = 2, size: int = 4) -> np.ndarray:
-    return np.zeros((num_devices, 3, size, size))
+
+def _server(model, threshold=0.8, **kwargs) -> DistributedServingFabric:
+    kwargs.setdefault("batching", HOLD)
+    return DistributedServingFabric.single_tier(model, threshold, **kwargs)
+
+
+def _offer(server, images, count, client_id="default", at=None):
+    """Offer ``count`` samples arriving together; returns their ids."""
+    return server.submit_many(
+        [images[i % len(images)] for i in range(count)], client_id=client_id, at=at
+    )
+
+
+class _Backlog:
+    """The queue surface a policy reads: capacity, depth and a clock."""
+
+    def __init__(self, capacity=None, depth=0):
+        self.capacity = capacity
+        self.depth = depth
+        self.clock = SimulatedClock()
+
+    def __len__(self) -> int:
+        return self.depth
 
 
 class TestAdmissionPolicies:
-    def _full_queue(self, admission, capacity=2):
-        queue = RequestQueue(clock=SimulatedClock(), capacity=capacity, admission=admission)
-        for index in range(capacity):
-            queue.submit(_views(), client_id=f"seed-{index}")
-        return queue
-
-    def test_unbounded_queue_never_consults_admission(self):
+    def test_unbounded_queue_never_consults_admission(self, trained_ddnn, tiny_test):
         class Exploding(RejectNewest):
             def decide(self, queue, client_id):  # pragma: no cover - must not run
                 raise AssertionError("admission consulted on an unbounded queue")
 
-        queue = RequestQueue(clock=SimulatedClock(), admission=Exploding())
-        for _ in range(100):
-            queue.submit(_views())
-        assert len(queue) == 100
+        server = _server(trained_ddnn, admission=Exploding())
+        _offer(server, tiny_test.images, 100)
+        assert len(server.run_until_idle()) == 100
+        assert server.admission_stats.accepted == 100
 
-    def test_reject_newest_refuses_and_counts(self):
-        queue = self._full_queue(RejectNewest())
-        result = queue.offer(_views(), client_id="late")
-        assert result.outcome is AdmissionOutcome.REJECTED
-        assert result.request is None
-        assert len(queue) == 2
-        assert queue.admission_stats.rejected == 1
-        assert queue.session("late").rejected == 1
-        assert queue.admission_stats.offered == 3
+    def test_reject_newest_refuses_and_counts(self, trained_ddnn, tiny_test):
+        server = _server(trained_ddnn, capacity=2, admission=RejectNewest())
+        _offer(server, tiny_test.images, 2, client_id="seed")
+        (late,) = _offer(server, tiny_test.images, 1, client_id="late")
+        responses = server.run_until_idle()
+        assert late not in [r.request_id for r in responses]
+        assert len(responses) == 2
+        stats = server.admission_stats
+        assert stats.rejected == 1
+        assert stats.offered == 3
 
-    def test_submit_raises_on_rejection(self):
-        queue = self._full_queue(RejectNewest())
-        with pytest.raises(QueueFullError):
-            queue.submit(_views(), client_id="late")
+    def test_drop_oldest_evicts_head_and_accepts(self, trained_ddnn, tiny_test):
+        server = _server(trained_ddnn, capacity=2, admission=DropOldest())
+        head, _ = _offer(server, tiny_test.images, 2, client_id="seed")
+        (late,) = _offer(server, tiny_test.images, 1, client_id="late")
+        responses = sorted(server.run_until_idle(), key=lambda r: r.request_id)
+        # The head-of-line request left the system; the newcomer is served.
+        assert head not in [r.request_id for r in responses]
+        assert responses[-1].request_id == late
+        assert len(responses) == 2
+        stats = server.admission_stats
+        assert stats.dropped == 1
+        assert stats.accepted == 3
 
-    def test_drop_oldest_evicts_head_and_accepts(self):
-        queue = self._full_queue(DropOldest())
-        head = queue.peek_oldest()
-        result = queue.offer(_views(), client_id="late")
-        assert result.outcome is AdmissionOutcome.ACCEPTED
-        assert result.evicted is head
-        assert len(queue) == 2
-        assert queue.admission_stats.dropped == 1
-        assert queue.session(head.client_id).dropped == 1
-        # The evicted request no longer counts as in flight for its client.
-        assert queue.session(head.client_id).in_flight == 0
-        # The new request really is enqueued (tail position).
-        remaining_ids = [request.request_id for request in queue.pop_batch(10)]
-        assert result.request.request_id == remaining_ids[-1]
+    def test_shed_returns_stamped_request_without_enqueueing(self, trained_ddnn, tiny_test):
+        server = _server(trained_ddnn, capacity=2, admission=ShedToLocalExit())
+        _offer(server, tiny_test.images, 2, client_id="seed")
+        (late,) = _offer(server, tiny_test.images, 1, client_id="late", at=0.5)
+        responses = {r.request_id: r for r in server.run_until_idle()}
+        shed = responses[late]
+        assert shed.shed and shed.client_id == "late"
+        assert shed.submit_time == shed.completion_time == 0.5
+        # The two queued requests still got the full cascade.
+        assert sum(1 for r in responses.values() if not r.shed) == 2
+        assert server.admission_stats.shed == 1
 
-    def test_shed_returns_stamped_request_without_enqueueing(self):
-        queue = self._full_queue(ShedToLocalExit())
-        result = queue.offer(_views(), client_id="late")
-        assert result.outcome is AdmissionOutcome.SHED
-        assert result.request is not None
-        assert result.request.client_id == "late"
-        assert len(queue) == 2
-        assert queue.admission_stats.shed == 1
-        assert queue.session("late").shed == 1
-
-    def test_capacity_validation(self):
+    def test_capacity_validation(self, trained_ddnn):
         with pytest.raises(ValueError):
-            RequestQueue(clock=SimulatedClock(), capacity=0)
-
-    def test_submit_on_shed_policy_recounts_as_rejection(self):
-        """Regression: a bare queue cannot deliver the local-exit answer a
-        SHED outcome promises, so submit() must not leave shed counters
-        claiming an answer that never existed."""
-        queue = self._full_queue(ShedToLocalExit())
-        with pytest.raises(QueueFullError):
-            queue.submit(_views(), client_id="late")
-        assert queue.admission_stats.shed == 0
-        assert queue.admission_stats.rejected == 1
-        assert queue.session("late").shed == 0
-        assert queue.session("late").rejected == 1
+            _server(trained_ddnn, capacity=0)
 
     def test_admission_policy_registry(self):
         assert isinstance(admission_policy("reject"), RejectNewest)
@@ -109,94 +113,6 @@ class TestAdmissionPolicies:
         assert isinstance(admission_policy("shed-local"), ShedToLocalExit)
         with pytest.raises(ValueError):
             admission_policy("nope")
-
-
-class TestQoSWeights:
-    def _backlogged(self, weights, per_client=6):
-        queue = RequestQueue(clock=SimulatedClock())
-        for client_id, weight in weights.items():
-            queue.set_weight(client_id, weight)
-        for _ in range(per_client):
-            for client_id in weights:
-                queue.submit(_views(), client_id=client_id)
-        return queue
-
-    def test_weighted_round_robin_share(self):
-        queue = self._backlogged({"premium": 2.0, "basic": 1.0})
-        batch = [request.client_id for request in queue.pop_batch(6)]
-        assert batch.count("premium") == 4
-        assert batch.count("basic") == 2
-
-    def test_fractional_weights(self):
-        queue = self._backlogged({"a": 1.0, "b": 0.5})
-        batch = [request.client_id for request in queue.pop_batch(6)]
-        assert batch.count("a") == 4
-        assert batch.count("b") == 2
-
-    def test_per_client_order_stays_fifo_under_weights(self):
-        queue = self._backlogged({"a": 2.0, "b": 1.0})
-        batch = queue.pop_batch(12)
-        for client_id in ("a", "b"):
-            ids = [r.request_id for r in batch if r.client_id == client_id]
-            assert ids == sorted(ids)
-
-    def test_idle_client_gets_no_banked_credit(self):
-        queue = RequestQueue(clock=SimulatedClock())
-        queue.set_weight("hi", 5.0)
-        # Only "lo" is backlogged; "hi" being absent must not starve it.
-        for _ in range(4):
-            queue.submit(_views(), client_id="lo")
-        assert len(queue.pop_batch(4)) == 4
-
-    def test_no_weights_means_pure_fifo(self):
-        queue = RequestQueue(clock=SimulatedClock())
-        ids = [queue.submit(_views(), client_id=f"c{i % 3}").request_id for i in range(9)]
-        popped = [request.request_id for request in queue.pop_batch(9)]
-        assert popped == ids
-
-    def test_weight_validation(self):
-        queue = RequestQueue(clock=SimulatedClock())
-        with pytest.raises(ValueError):
-            queue.set_weight("a", 0.0)
-        with pytest.raises(ValueError):
-            queue.set_weight("a", -1.0)
-
-    def test_fractional_weight_client_not_starved_by_small_batches(self):
-        """Regression: deficit credit must persist across pop_batch calls —
-        with max_batch_size=1 a weight-0.5 client never reaches a whole
-        credit inside one pop and was starved forever."""
-        queue = RequestQueue(clock=SimulatedClock())
-        queue.set_weight("bulk", 0.5)
-        queue.set_weight("prio", 1.0)
-        for _ in range(12):
-            queue.submit(_views(), client_id="bulk")
-            queue.submit(_views(), client_id="prio")
-        served = [queue.pop_batch(1)[0].client_id for _ in range(9)]
-        assert served.count("bulk") == 3  # the 1-in-3 share its weight implies
-        assert served.count("prio") == 6
-
-    def test_idle_client_credit_not_banked_across_pops(self):
-        queue = RequestQueue(clock=SimulatedClock())
-        queue.set_weight("sleepy", 0.5)
-        queue.set_weight("busy", 1.0)
-        # "sleepy" is idle for many pops, then shows up: it must not have
-        # accumulated credit while it had nothing queued.
-        for _ in range(8):
-            queue.submit(_views(), client_id="busy")
-        for _ in range(4):
-            queue.pop_batch(1)
-        queue.submit(_views(), client_id="sleepy")
-        first = queue.pop_batch(1)[0]
-        assert first.client_id == "busy"  # sleepy still owes 1.0 of credit
-
-    def test_weights_leave_queue_length_consistent(self):
-        queue = self._backlogged({"a": 3.0, "b": 1.0}, per_client=5)
-        batch = queue.pop_batch(4)
-        assert len(batch) == 4
-        assert len(queue) == 6
-        rest = queue.pop_batch(100)
-        assert len(rest) == 6
-        assert len(queue) == 0
 
 
 class TestArrivalProcesses:
@@ -274,40 +190,43 @@ class TestSimulatedClock:
 
 
 class TestLoadGenerator:
+    """Open-loop load through :meth:`DistributedServingFabric.open_loop`."""
+
     SERVICE = ServiceModel(batch_overhead_s=0.002, per_sample_s=0.001)
     BATCHING = BatchingPolicy(max_batch_size=8, max_wait_s=0.005)
 
     def _run(self, trained_ddnn, tiny_test, *, capacity=None, admission=None,
-             multiplier=2.0, num_requests=160, seed=5, process=None):
-        clock = SimulatedClock()
-        server = DDNNServer(
+             multiplier=2.0, num_requests=160, seed=5, process=None,
+             batching=None):
+        batching = batching if batching is not None else self.BATCHING
+        server = DistributedServingFabric.single_tier(
             trained_ddnn,
             0.8,
-            policy=self.BATCHING,
-            clock=clock,
+            batching=batching,
+            service_models=[self.SERVICE],
             capacity=capacity,
             admission=admission,
         )
-        offered = multiplier * self.SERVICE.capacity_rps(self.BATCHING.max_batch_size)
-        generator = LoadGenerator(
-            server,
+        offered = multiplier * self.SERVICE.capacity_rps(batching.max_batch_size)
+        report = server.open_loop(
             process if process is not None else PoissonProcess(offered, seed=seed),
             tiny_test.images,
             targets=tiny_test.labels,
-            service_model=self.SERVICE,
+            num_requests=num_requests,
         )
-        return server, generator.run(num_requests)
+        return server, report
 
-    def test_requires_simulated_clock(self, trained_ddnn, tiny_test):
-        server = DDNNServer(trained_ddnn, 0.8)
-        with pytest.raises(TypeError):
-            LoadGenerator(server, PoissonProcess(10.0), tiny_test.images)
+    @staticmethod
+    def _queued(server, report):
+        """Report over the queued-and-served requests (shed answers apart)."""
+        return server.report([r for r in report.responses if not r.shed])
 
     def test_underload_serves_everything(self, trained_ddnn, tiny_test):
-        _, report = self._run(trained_ddnn, tiny_test, multiplier=0.5, num_requests=80)
-        assert report.offered == 80
+        server, report = self._run(trained_ddnn, tiny_test, multiplier=0.5, num_requests=80)
+        assert server.offered == 80
         assert report.served == 80
-        assert report.rejected == report.dropped == report.shed == 0
+        stats = server.admission_stats
+        assert stats.rejected == stats.dropped == stats.shed == 0
         assert report.p95_latency_s > 0.0
         assert report.p50_latency_s <= report.p95_latency_s <= report.p99_latency_s
 
@@ -327,26 +246,25 @@ class TestLoadGenerator:
         from repro.experiments.overload_study import queue_latency_bound_s
 
         capacity = 16
-        _, report = self._run(
+        server, report = self._run(
             trained_ddnn,
             tiny_test,
             capacity=capacity,
             admission=admission_policy(admission_name),
             num_requests=240,
         )
+        queued = self._queued(server, report)
         bound = queue_latency_bound_s(capacity, self.BATCHING, self.SERVICE)
-        assert report.max_latency_s <= bound
-        overflow = report.rejected + report.dropped + report.shed
+        assert queued.max_latency_s <= bound
+        stats = server.admission_stats
+        overflow = stats.rejected + stats.dropped + stats.shed
         assert overflow > 0
-        assert report.offered == 240
-        if admission_name == "reject":
-            assert report.served + report.rejected == report.offered
-        if admission_name == "drop-oldest":
-            assert report.served + report.dropped == report.offered
+        assert server.offered == 240
+        assert queued.served + overflow == server.offered
         if admission_name == "shed-local":
-            assert report.served + report.shed == report.offered
-            assert len(report.shed_responses) == report.shed
-            assert all(r.shed and r.exit_index == 0 for r in report.shed_responses)
+            shed = [r for r in report.responses if r.shed]
+            assert len(shed) == stats.shed
+            assert all(r.exit_index == 0 for r in shed)
 
     def test_shed_responses_delivered_to_sessions(self, trained_ddnn, tiny_test):
         server, report = self._run(
@@ -357,86 +275,102 @@ class TestLoadGenerator:
             multiplier=4.0,
             num_requests=120,
         )
-        session = server.queue.session("client-0")
-        assert session.shed == report.shed > 0
-        # Shed answers appear in responses but never inflate `completed`.
-        assert session.completed == report.served
+        shed = [r for r in report.responses if r.shed]
+        assert len(shed) == server.admission_stats.shed > 0
+        assert all(r.client_id == "client-0" for r in shed)
+        # Every request is answered exactly once: shed or served.
+        assert len(report.responses) == server.offered
+        assert self._queued(server, report).served == server.offered - len(shed)
 
     def test_trace_replay_drives_exact_arrival_times(self, trained_ddnn, tiny_test):
         trace = [0.0, 0.001, 0.002, 0.2, 0.4]
-        _, report = self._run(
+        server, report = self._run(
             trained_ddnn,
             tiny_test,
             process=TraceReplay(trace),
             num_requests=5,
         )
-        assert report.offered == 5
+        assert server.offered == 5
         assert report.served == 5
-        assert [r.enqueue_time for r in sorted(report.responses, key=lambda r: r.request_id)] == trace
+        assert [r.submit_time for r in sorted(report.responses, key=lambda r: r.request_id)] == trace
+
+    def test_busy_worker_arrival_timed_from_its_own_arrival(self, trained_ddnn, tiny_test):
+        """Regression (coordinated omission): an arrival that finds the only
+        worker busy keeps its own arrival stamp, and its batch forms at
+        ``arrival + max_wait_s`` or when the worker frees, whichever is
+        later.  With seed 0 at half load, requests 0-4 form a batch at
+        6.53 ms that runs until 13.53 ms; request 5 arrives at 8.78 ms and
+        its batch forms at 13.78 ms, so it completes at 18.78 ms.  A timeline
+        that stamps arrivals at the busy batch's completion instead reports
+        13.53 ms and 24.53 ms."""
+        service = ServiceModel()
+        batching = BatchingPolicy(max_batch_size=16, max_wait_s=0.005)
+        server = DistributedServingFabric.single_tier(
+            trained_ddnn, 0.8, batching=batching, service_models=[service]
+        )
+        rate = 0.5 * service.capacity_rps(batching.max_batch_size)
+        report = server.open_loop(PoissonProcess(rate, seed=0), tiny_test.images, num_requests=40)
+        arrivals = list(itertools.islice(iter(PoissonProcess(rate, seed=0)), 40))
+        by_id = sorted(report.responses, key=lambda r: r.request_id)
+        assert [r.submit_time for r in by_id] == arrivals
+        first, fifth = by_id[0], by_id[5]
+        assert first.completion_time == pytest.approx(0.01353, abs=5e-6)
+        assert fifth.submit_time == pytest.approx(0.00878, abs=5e-6)
+        assert fifth.completion_time == pytest.approx(0.01878, abs=5e-6)
+        assert fifth.latency_s == pytest.approx(0.010, abs=1e-9)
 
 
 class TestTokenBucketPolicy:
-    def _queue(self, policy, capacity=None):
-        return RequestQueue(clock=SimulatedClock(), capacity=capacity, admission=policy)
-
-    def test_burst_then_reject_then_refill(self):
-        from repro.serving import TokenBucketPolicy
-
-        policy = TokenBucketPolicy(rate_rps=1.0, burst=3.0)
-        queue = self._queue(policy)
-        for _ in range(3):
-            assert queue.offer(_views(), client_id="a").accepted
-        result = queue.offer(_views(), client_id="a")
-        assert result.outcome is AdmissionOutcome.REJECTED
-        assert queue.admission_stats.rejected == 1
+    def test_burst_then_reject_then_refill(self, trained_ddnn, tiny_test):
+        server = _server(trained_ddnn, admission=TokenBucketPolicy(rate_rps=1.0, burst=3.0))
+        _offer(server, tiny_test.images, 4, client_id="a")
+        server.run_until_idle(drain=True)
+        assert server.admission_stats.accepted == 3
+        assert server.admission_stats.rejected == 1
         # One token refills per simulated second.
-        queue.clock.advance(1.0)
-        assert queue.offer(_views(), client_id="a").accepted
-        assert queue.offer(_views(), client_id="a").outcome is AdmissionOutcome.REJECTED
+        _offer(server, tiny_test.images, 2, client_id="a", at=server.clock.now + 1.0)
+        server.run_until_idle(drain=True)
+        assert server.admission_stats.accepted == 4
+        assert server.admission_stats.rejected == 2
 
-    def test_buckets_are_per_client(self):
-        from repro.serving import TokenBucketPolicy
-
-        queue = self._queue(TokenBucketPolicy(rate_rps=1.0, burst=1.0))
-        assert queue.offer(_views(), client_id="a").accepted
-        assert queue.offer(_views(), client_id="a").outcome is AdmissionOutcome.REJECTED
+    def test_buckets_are_per_client(self, trained_ddnn, tiny_test):
+        server = _server(trained_ddnn, admission=TokenBucketPolicy(rate_rps=1.0, burst=1.0))
+        _offer(server, tiny_test.images, 2, client_id="a")
+        _offer(server, tiny_test.images, 1, client_id="b")
+        responses = server.run_until_idle()
         # Client b's bucket is untouched by a's exhaustion.
-        assert queue.offer(_views(), client_id="b").accepted
+        assert sorted(r.client_id for r in responses) == ["a", "b"]
+        assert server.admission_stats.rejected == 1
 
     def test_bucket_never_exceeds_burst(self):
-        from repro.serving import TokenBucketPolicy
-
         policy = TokenBucketPolicy(rate_rps=10.0, burst=2.0)
-        queue = self._queue(policy)
-        queue.clock.advance(100.0)  # long idle: bucket caps at burst
-        assert policy.tokens("a", queue.clock()) == pytest.approx(2.0)
+        backlog = _Backlog()
+        backlog.clock.advance(100.0)  # long idle: bucket caps at burst
+        assert policy.tokens("a", backlog.clock()) == pytest.approx(2.0)
 
-    def test_full_queue_delegates_to_inner_policy_without_charging_rejects(self):
-        from repro.serving import TokenBucketPolicy
-
+    def test_full_queue_delegates_to_inner_policy_without_charging_rejects(
+        self, trained_ddnn, tiny_test
+    ):
         policy = TokenBucketPolicy(rate_rps=0.001, burst=5.0, inner=RejectNewest())
-        queue = self._queue(policy, capacity=1)
-        assert queue.offer(_views(), client_id="a").accepted
-        before = policy.tokens("a", queue.clock())
-        result = queue.offer(_views(), client_id="a")
-        assert result.outcome is AdmissionOutcome.REJECTED
-        # The inner full-queue rejection must not consume a token.
-        assert policy.tokens("a", queue.clock()) == pytest.approx(before)
+        server = _server(trained_ddnn, capacity=1, admission=policy)
+        _offer(server, tiny_test.images, 2, client_id="a")
+        server.run_until_idle(drain=True)
+        assert server.admission_stats.rejected == 1
+        # The inner full-queue rejection did not consume a token.
+        assert policy.tokens("a", 0.0) == pytest.approx(4.0)
 
-    def test_full_queue_drop_oldest_inner_still_rate_limits(self):
-        from repro.serving import TokenBucketPolicy
-
+    def test_full_queue_drop_oldest_inner_still_rate_limits(self, trained_ddnn, tiny_test):
         policy = TokenBucketPolicy(rate_rps=0.001, burst=2.0, inner=DropOldest())
-        queue = self._queue(policy, capacity=1)
-        assert queue.offer(_views(), client_id="a").accepted
-        result = queue.offer(_views(), client_id="a")
-        assert result.accepted and result.evicted is not None
-        # Bucket empty now: rejected even though drop-oldest would make room.
-        assert queue.offer(_views(), client_id="a").outcome is AdmissionOutcome.REJECTED
+        server = _server(trained_ddnn, capacity=1, admission=policy)
+        _offer(server, tiny_test.images, 3, client_id="a")
+        server.run_until_idle(drain=True)
+        stats = server.admission_stats
+        # The second arrival evicts the first; the bucket is then empty, so
+        # the third is rejected even though drop-oldest would make room.
+        assert stats.dropped == 1
+        assert stats.rejected == 1
 
     def test_validation_and_registry(self):
-        from repro.serving import TokenBucketPolicy
-
         with pytest.raises(ValueError):
             TokenBucketPolicy(rate_rps=0.0)
         with pytest.raises(ValueError):
@@ -446,118 +380,89 @@ class TestTokenBucketPolicy:
         assert policy.rate_rps == 5.0
 
     def test_server_rate_limits_chatty_client(self, trained_ddnn, tiny_test):
-        from repro.serving import TokenBucketPolicy
-
-        clock = SimulatedClock()
-        server = DDNNServer(
-            trained_ddnn,
-            0.8,
-            clock=clock,
-            capacity=64,
-            admission=TokenBucketPolicy(rate_rps=1.0, burst=4.0),
+        server = _server(
+            trained_ddnn, capacity=64, admission=TokenBucketPolicy(rate_rps=1.0, burst=4.0)
         )
-        outcomes = [
-            server.offer(tiny_test.images[i % len(tiny_test)], client_id="chatty").outcome
-            for i in range(10)
-        ]
-        assert outcomes.count(AdmissionOutcome.ACCEPTED) == 4
-        assert outcomes.count(AdmissionOutcome.REJECTED) == 6
+        _offer(server, tiny_test.images, 10, client_id="chatty")
+        _offer(server, tiny_test.images, 1, client_id="polite")
+        responses = server.run_until_idle(drain=True)
+        assert sum(1 for r in responses if r.client_id == "chatty") == 4
+        assert server.admission_stats.rejected == 6
         # A polite client still gets in.
-        assert server.offer(tiny_test.images[0], client_id="polite").accepted
+        assert sum(1 for r in responses if r.client_id == "polite") == 1
 
 
 class TestAdaptiveShed:
-    def _server(self, model, capacity=8, low_watermark=0.5, relaxed=1.0):
-        from repro.serving import AdaptiveShed
-
-        clock = SimulatedClock()
-        return DDNNServer(
+    def _server(self, model, capacity=8, low_watermark=0.5, relaxed=1.0, threshold=0.8):
+        return _server(
             model,
-            0.8,
-            clock=clock,
+            threshold,
             capacity=capacity,
             admission=AdaptiveShed(low_watermark=low_watermark, relaxed_threshold=relaxed),
         )
 
     def test_below_watermark_accepts_everything(self, trained_ddnn, tiny_test):
         server = self._server(trained_ddnn, capacity=8)
-        for i in range(4):  # stays at/below the 0.5 * 8 watermark
-            assert server.offer(tiny_test.images[i % len(tiny_test)]).accepted
-        assert server.queue.admission_stats.shed == 0
+        _offer(server, tiny_test.images, 4)  # stays at/below the 0.5 * 8 watermark
+        server.run_until_idle()
+        assert server.admission_stats.accepted == 4
+        assert server.admission_stats.shed == 0
 
     def test_under_pressure_sheds_or_requeues_consistently(self, trained_ddnn, tiny_test):
         server = self._server(trained_ddnn, capacity=8)
-        shed = accepted = 0
-        for i in range(24):
-            result = server.offer(tiny_test.images[i % len(tiny_test)], client_id="c")
-            if result.outcome is AdmissionOutcome.SHED:
-                shed += 1
-            else:
-                assert result.accepted
-                accepted += 1
-        stats = server.queue.admission_stats
+        _offer(server, tiny_test.images, 24, client_id="c")
+        responses = server.run_until_idle()
+        stats = server.admission_stats
         # Nothing is rejected outright; counters stay consistent after requeues.
         assert stats.rejected == 0
-        assert stats.shed == shed
-        assert stats.accepted == accepted
         assert stats.offered == 24
-        assert shed > 0, "sustained pressure must shed something"
-        # Shed answers were delivered immediately from the local exit.
-        session = server.queue.session("c")
-        assert session.shed == shed
-        assert sum(1 for r in session.responses if r.shed) == shed
-        assert all(r.exit_index == 0 for r in session.responses if r.shed)
+        assert stats.shed > 0, "sustained pressure must shed something"
+        # Every admitted request is answered: shed ones at once, locally.
+        shed = [r for r in responses if r.shed]
+        assert len(shed) == stats.shed
+        assert len(responses) == stats.accepted + stats.shed - stats.dropped
+        assert all(r.exit_index == 0 for r in shed)
 
     def test_full_queue_sheds_everything_at_relaxed_one(self, trained_ddnn, tiny_test):
         server = self._server(trained_ddnn, capacity=4)
-        outcomes = []
-        for i in range(12):
-            outcomes.append(
-                server.offer(tiny_test.images[i % len(tiny_test)]).outcome
-            )
+        ids = _offer(server, tiny_test.images, 12)
+        responses = {r.request_id: r for r in server.run_until_idle()}
         # Once the queue is pinned at capacity the threshold reaches 1.0 and
         # every further arrival is answered locally.
-        assert len(server.queue) <= 4
-        assert outcomes[-1] is AdmissionOutcome.SHED
+        assert sum(1 for r in responses.values() if not r.shed) <= 4
+        assert responses[ids[-1]].shed
 
     def test_shed_threshold_interpolates_with_pressure(self):
-        from repro.serving import AdaptiveShed
-
         policy = AdaptiveShed(low_watermark=0.5, relaxed_threshold=1.0)
-        # shed_threshold only reads depth/capacity; fill a plain queue.
-        queue = RequestQueue(clock=SimulatedClock(), capacity=10)
+        backlog = _Backlog(capacity=10)
         base = 0.6
-        assert policy.shed_threshold(queue, base) == pytest.approx(base)  # empty
-        for _ in range(5):
-            queue.submit(_views())
-        assert policy.shed_threshold(queue, base) == pytest.approx(base)  # at watermark
-        for _ in range(5):
-            queue.submit(_views())
-        assert policy.shed_threshold(queue, base) == pytest.approx(1.0)  # full
+        assert policy.shed_threshold(backlog, base) == pytest.approx(base)  # empty
+        backlog.depth = 5
+        assert policy.shed_threshold(backlog, base) == pytest.approx(base)  # at watermark
+        backlog.depth = 10
+        assert policy.shed_threshold(backlog, base) == pytest.approx(1.0)  # full
 
-    def test_requires_bounded_queue(self):
-        from repro.serving import AdaptiveShed
-
-        queue = RequestQueue(clock=SimulatedClock(), admission=AdaptiveShed())
-        with pytest.raises(ValueError):
-            queue.offer(_views())
+    def test_requires_bounded_queue(self, trained_ddnn, tiny_test):
+        server = _server(trained_ddnn, admission=AdaptiveShed())
+        _offer(server, tiny_test.images, 1)
+        with pytest.raises(ValueError, match="bounded"):
+            server.run_until_idle()
 
     def test_validation(self):
-        from repro.serving import AdaptiveShed
-
         with pytest.raises(ValueError):
             AdaptiveShed(low_watermark=1.0)
         with pytest.raises(ValueError):
             AdaptiveShed(relaxed_threshold=-0.1)
 
-    def test_requeue_preserves_offer_accounting(self):
-        queue = RequestQueue(clock=SimulatedClock(), capacity=4)
-        result_request = queue._build_request(_views(), "c", None)
-        queue.admission_stats.shed += 1
-        queue.session("c").shed += 1
-        evicted = queue.requeue(result_request)
-        assert evicted is None
-        assert len(queue) == 1
-        stats = queue.admission_stats
-        assert stats.shed == 0 and stats.accepted == 1
-        assert queue.session("c").submitted == 1
+    def test_requeue_preserves_offer_accounting(self, trained_ddnn, tiny_test):
+        # With a zero local threshold and no relaxation the shed bound stays
+        # 0, every shed probe fails, and every pressured arrival is
+        # requeued: its shed rolls back into accepted.
+        server = self._server(
+            trained_ddnn, capacity=4, low_watermark=0.0, relaxed=0.0, threshold=0.0
+        )
+        _offer(server, tiny_test.images, 3)
+        responses = server.run_until_idle()
+        stats = server.admission_stats
+        assert stats.shed == 0 and stats.accepted == 3 and stats.offered == 3
+        assert len(responses) == 3 and not any(r.shed for r in responses)

@@ -150,14 +150,14 @@ class TestCascadeSharedByBothEngines:
     def test_invalid_threshold_values_raise_in_all_three_consumers(self, trained_ddnn, bad):
         """bool / NaN / negative thresholds must fail loudly in every cascade
         consumer: the offline engine, the hierarchy runtime and the server."""
-        from repro.serving import DDNNServer
+        from repro.serving import DistributedServingFabric
 
         with pytest.raises(ValueError):
             StagedInferenceEngine(trained_ddnn, bad)
         with pytest.raises(ValueError):
             HierarchyRuntime(partition_ddnn(trained_ddnn), bad)
         with pytest.raises(ValueError):
-            DDNNServer(trained_ddnn, bad)
+            DistributedServingFabric.single_tier(trained_ddnn, bad)
 
     def test_run_model_matches_engine_run(self, trained_ddnn, tiny_test):
         engine = StagedInferenceEngine(trained_ddnn, 0.8)

@@ -332,18 +332,19 @@ class TestPlanTiming:
         assert compiled.total_time_s == 0.0
 
     def test_service_model_calibration_from_plan_timings(self):
-        from repro.serving import DDNNServer, ServiceModel
+        from repro.core.cascade import ExitCascade
+        from repro.serving import ServiceModel
 
         model, views = _warmed_model()
-        server = DDNNServer(model, 0.8, compile=True)
-        model = ServiceModel.from_plan_timings(
-            server, views[0], batch_size=4, repeats=2
+        cascade = ExitCascade.for_model(model, 0.8, compile=True)
+        service = ServiceModel.from_plan_timings(
+            model, cascade, views[0], batch_size=4, repeats=2
         )
-        assert model.per_sample_s > 0.0
-        assert model.batch_overhead_s >= 0.0
-        assert model.batch_time_s(4) > model.batch_time_s(1)
+        assert service.per_sample_s > 0.0
+        assert service.batch_overhead_s >= 0.0
+        assert service.batch_time_s(4) > service.batch_time_s(1)
         # Timing is switched back off afterwards.
-        compiled = server.cascade.compiled_for(server.model)
+        compiled = cascade.compiled_for(model)
         before = compiled.total_time_s
         compiled(views)
         assert compiled.total_time_s == before

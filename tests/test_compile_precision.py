@@ -239,12 +239,16 @@ class TestConsumerValidation:
             StagedInferenceEngine(trained_ddnn, 0.8, compile=True, precision="tf32")
 
     def test_server_requires_compile_for_reduced_precision(self, trained_ddnn):
-        from repro.serving import DDNNServer
+        from repro.serving import DistributedServingFabric
 
         with pytest.raises(ValueError):
-            DDNNServer(trained_ddnn, 0.8, compile=False, precision="float32")
-        server = DDNNServer(trained_ddnn, 0.8, compile=True, precision="float32")
-        assert server.precision == "float32"
+            DistributedServingFabric.single_tier(
+                trained_ddnn, 0.8, compile=False, precision="float32"
+            )
+        server = DistributedServingFabric.single_tier(
+            trained_ddnn, 0.8, compile=True, precision="float32"
+        )
+        assert server.precisions == ["float32"]
 
     def test_fabric_per_tier_modes_validated(self, trained_ddnn):
         from repro.hierarchy.plan import PartitionPlan

@@ -12,7 +12,6 @@ from repro.hierarchy.partition import DEFAULT_LOCAL_LINK, DEFAULT_UPLINK
 from repro.serving import (
     AdaptiveThreshold,
     BatchingPolicy,
-    DDNNServer,
     DistributedServingFabric,
     EventLoop,
     PoissonProcess,
@@ -152,10 +151,19 @@ class TestFabricEquivalence:
         np.testing.assert_array_equal(exits, baseline.exit_indices)
 
     def test_single_tier_degenerate_case_is_the_server(self, trained_ddnn, tiny_test):
-        """DDNNServer (one tier running the whole cascade) routes and
-        predicts exactly like the fabric — the degenerate case stays valid."""
-        server = DDNNServer(trained_ddnn, 0.8)
+        """The one-tier fabric (every worker runs the whole cascade) routes
+        and predicts exactly like the three-tier fabric and the offline
+        cascade, entropies included."""
+        baseline = ExitCascade.for_model(trained_ddnn, 0.8).run_model(
+            trained_ddnn, tiny_test.images
+        )
+        server = DistributedServingFabric.single_tier(trained_ddnn, 0.8)
         server_responses = server.serve_dataset(tiny_test)
+        assert server.tier_names == ["cascade"]
+        predictions, exits, entropies = _decisions(server_responses)
+        np.testing.assert_array_equal(predictions, baseline.predictions)
+        np.testing.assert_array_equal(exits, baseline.exit_indices)
+        np.testing.assert_array_equal(entropies, baseline.entropies)
         fabric = DistributedServingFabric(
             partition_ddnn(trained_ddnn),
             0.8,

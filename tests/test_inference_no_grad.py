@@ -1,7 +1,7 @@
 """Regression: inference-time forwards must never record an autograd graph.
 
 Every serving/inference entry point — ``ExitCascade.run_model``,
-``StagedInferenceEngine``, ``DDNNServer.process_batch`` (and the
+``StagedInferenceEngine``, the single-tier serving fabric (and its
 shed-to-local fast path), ``HierarchyRuntime`` and the baselines — must run
 its forwards under ``no_grad()``.  A graph recorded at inference time leaks
 memory linearly in the request count, which is fatal for a long-lived
@@ -21,7 +21,7 @@ from repro.core.inference import StagedInferenceEngine
 from repro.hierarchy.partition import partition_ddnn
 from repro.hierarchy.runtime import HierarchyRuntime
 from repro.nn.tensor import Tensor, is_grad_enabled
-from repro.serving import BatchingPolicy, DDNNServer, admission_policy
+from repro.serving import BatchingPolicy, DistributedServingFabric, admission_policy
 
 
 @pytest.fixture()
@@ -74,18 +74,21 @@ def test_staged_inference_records_no_graph(model, views, forward_spy):
 
 
 def test_server_process_batch_records_no_graph(model, views, forward_spy):
-    server = DDNNServer(model, 0.8, policy=BatchingPolicy(max_batch_size=4, max_wait_s=0.0))
-    for sample in views:
-        server.submit(sample, client_id="spy")
-    server.run_until_drained()
+    server = DistributedServingFabric.single_tier(
+        model, 0.8, batching=BatchingPolicy(max_batch_size=4, max_wait_s=0.0)
+    )
+    server.submit_many(list(views), client_id="spy")
+    server.run_until_idle(drain=True)
     _assert_graph_free(forward_spy)
 
 
 def test_server_shed_to_local_records_no_graph(model, views, forward_spy):
-    server = DDNNServer(model, 0.8, capacity=1, admission=admission_policy("shed-local"))
-    for sample in views:
-        server.offer(sample, client_id="spy")
-    server.run_until_drained()
+    server = DistributedServingFabric.single_tier(
+        model, 0.8, capacity=1, admission=admission_policy("shed-local")
+    )
+    server.submit_many(list(views), client_id="spy")
+    responses = server.run_until_idle(drain=True)
+    assert any(response.shed for response in responses)
     _assert_graph_free(forward_spy)
 
 
@@ -134,7 +137,7 @@ def test_individual_baseline_predict_records_no_graph():
 
 def test_compiled_serving_never_touches_tensors(model, views, monkeypatch):
     """The compiled path must not construct autograd Tensors at all."""
-    server = DDNNServer(model, 0.8, compile=True)
+    server = DistributedServingFabric.single_tier(model, 0.8, compile=True)
     constructed = []
     original_init = Tensor.__init__
 
@@ -145,7 +148,6 @@ def test_compiled_serving_never_touches_tensors(model, views, monkeypatch):
     # Compile (and warm the plan) first, then watch the serving loop.
     server.cascade.compiled_for(model)(views[:1])
     monkeypatch.setattr(Tensor, "__init__", spy)
-    for sample in views:
-        server.submit(sample, client_id="spy")
-    server.run_until_drained()
+    server.submit_many(list(views), client_id="spy")
+    server.run_until_idle(drain=True)
     assert not constructed, "compiled serving built autograd Tensors"

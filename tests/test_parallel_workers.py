@@ -1,8 +1,8 @@
 """Tests for the real thread-pool worker backend behind the serving fabric.
 
 Covers the wall clock and realtime event loop, the worker-pool backends'
-routing equivalence (thread vs simulated, server and fabric, several worker
-counts), the constructor validation around backend/compile/clock choices,
+routing equivalence (thread vs simulated, one-tier and three-tier fabrics,
+several worker counts), the constructor validation around backend/compile/clock choices,
 and thread-safety of the process-wide compiled-plan cache and the
 experiment harness's oracle memo under concurrent hammering.
 
@@ -27,7 +27,6 @@ from repro.experiments import capture_oracle, ci_scale, get_dataset
 from repro.hierarchy import partition_ddnn
 from repro.serving import (
     BatchingPolicy,
-    DDNNServer,
     DistributedServingFabric,
     EventLoop,
     SimulatedClock,
@@ -149,10 +148,17 @@ class TestThreadBackendEquivalence:
         np.testing.assert_allclose(entropies, ref_entropies, rtol=0, atol=1e-9)
 
     def test_server_thread_backend_matches_sequential(self, trained_ddnn, tiny_test):
-        with DDNNServer(trained_ddnn, 0.8, compile=True) as sequential:
+        with DistributedServingFabric.single_tier(
+            trained_ddnn, 0.8, compile=True
+        ) as sequential:
             ref = _routing(sequential.serve_dataset(tiny_test))
-        with DDNNServer(
-            trained_ddnn, 0.8, compile=True, workers=3, backend="thread"
+        with DistributedServingFabric.single_tier(
+            trained_ddnn,
+            0.8,
+            batching=BatchingPolicy(max_batch_size=4),
+            compile=True,
+            workers_per_tier=3,
+            backend="thread",
         ) as server:
             got = _routing(server.serve_dataset(tiny_test))
         np.testing.assert_array_equal(got[0], ref[0])
@@ -183,17 +189,17 @@ class TestBackendValidation:
                 partition_ddnn(trained_ddnn), 0.8, backend="multiprocess"
             )
 
-    def test_server_multiworker_requires_thread_backend(self, trained_ddnn):
-        with pytest.raises(ValueError, match="thread"):
-            DDNNServer(trained_ddnn, 0.8, compile=True, workers=2)
-
     def test_server_thread_requires_compile(self, trained_ddnn):
         with pytest.raises(ValueError, match="compile"):
-            DDNNServer(trained_ddnn, 0.8, workers=2, backend="thread")
+            DistributedServingFabric.single_tier(
+                trained_ddnn, 0.8, workers_per_tier=2, backend="thread"
+            )
 
     def test_server_worker_count_positive(self, trained_ddnn):
         with pytest.raises(ValueError, match="workers"):
-            DDNNServer(trained_ddnn, 0.8, compile=True, workers=0, backend="thread")
+            DistributedServingFabric.single_tier(
+                trained_ddnn, 0.8, compile=True, workers_per_tier=0, backend="thread"
+            )
 
 
 class TestPlanCacheConcurrency:

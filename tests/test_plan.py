@@ -185,7 +185,7 @@ class TestPlanSections:
         from repro.hierarchy.sections import stack_rows
 
         edge_result = sections[1].process(stack_rows(transfer.payloads))
-        assert edge_result.logits is None
+        assert edge_result.exit_logits == []
         assert edge_result.carry is not None
 
 
