@@ -41,41 +41,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("list", help="list available experiments")
-
-    run_parser = subparsers.add_parser("run", help="run one experiment (or 'all')")
-    run_parser.add_argument(
-        "experiment",
-        help="experiment id from 'list', or 'all'",
-    )
-    run_parser.add_argument(
+    # Options every experiment command takes, and the cascade benches' exit
+    # threshold (sweep-bench declares its own repeatable --threshold).
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
         "--scale",
         choices=("ci", "paper"),
         default="ci",
         help="experiment scale: 'ci' (fast, default) or 'paper' (680/171 samples, 100 epochs)",
     )
-    run_parser.add_argument(
+    common.add_argument(
         "--output-dir",
         type=Path,
         default=None,
-        help="directory to write each experiment's table as <name>.txt",
+        help="directory to write each result table as <name>.txt",
     )
-
-    serve_parser = subparsers.add_parser(
-        "serve-bench",
-        help="benchmark online serving: dynamic micro-batching vs sequential",
-    )
-    serve_parser.add_argument(
-        "--scale",
-        choices=("ci", "paper"),
-        default="ci",
-        help="experiment scale for the model and request stream",
-    )
-    serve_parser.add_argument(
+    cascade = argparse.ArgumentParser(add_help=False, parents=[common])
+    cascade.add_argument(
         "--threshold",
         type=float,
         default=0.8,
         help="local-exit entropy threshold used by the cascade",
+    )
+
+    subparsers.add_parser("list", help="list available experiments")
+
+    run_parser = subparsers.add_parser(
+        "run", parents=[common], help="run one experiment (or 'all')"
+    )
+    run_parser.add_argument(
+        "experiment",
+        help="experiment id from 'list', or 'all'",
+    )
+
+    serve_parser = subparsers.add_parser(
+        "serve-bench",
+        parents=[cascade],
+        help="benchmark online serving: dynamic micro-batching vs sequential",
     )
     serve_parser.add_argument(
         "--max-batch-size",
@@ -91,28 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         help="passes over the test set forming the request stream",
     )
-    serve_parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory to write the serving table as serving_throughput.txt",
-    )
 
     load_parser = subparsers.add_parser(
         "load-bench",
+        parents=[cascade],
         help="open-loop overload study: tail latency vs offered load per admission policy",
-    )
-    load_parser.add_argument(
-        "--scale",
-        choices=("ci", "paper"),
-        default="ci",
-        help="experiment scale for the model and request stream",
-    )
-    load_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.8,
-        help="local-exit entropy threshold used by the cascade",
     )
     load_parser.add_argument(
         "--capacity",
@@ -155,12 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="base seed for the arrival processes",
     )
     load_parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory to write the table as overload_tail_latency.txt",
-    )
-    load_parser.add_argument(
         "--eager",
         action="store_true",
         help="run the server's forwards on the eager path (default: compiled)",
@@ -168,19 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     dist_parser = subparsers.add_parser(
         "dist-bench",
+        parents=[cascade],
         help="distributed serving fabric: p95 latency / offload fraction vs workers, bandwidth, threshold",
-    )
-    dist_parser.add_argument(
-        "--scale",
-        choices=("ci", "paper"),
-        default="ci",
-        help="experiment scale for the model and request stream",
-    )
-    dist_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.8,
-        help="base local-exit entropy threshold used by the cascade",
     )
     dist_parser.add_argument(
         "--workers",
@@ -247,28 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use plan-timing-calibrated service models in the rows (machine-dependent)",
     )
-    dist_parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory to write the table as distributed_serving.txt",
-    )
 
     parallel_parser = subparsers.add_parser(
         "parallel-bench",
+        parents=[cascade],
         help="wall-clock parallel serving: thread-pool worker scaling + backend equivalence",
-    )
-    parallel_parser.add_argument(
-        "--scale",
-        choices=("ci", "paper"),
-        default="ci",
-        help="experiment scale for the model and request stream",
-    )
-    parallel_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.8,
-        help="local-exit entropy threshold used by the cascade",
     )
     parallel_parser.add_argument(
         "--workers",
@@ -290,28 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         help="timed rounds per scaling row (fastest kept)",
     )
-    parallel_parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory to write the table as parallel_serving.txt",
-    )
 
     elastic_parser = subparsers.add_parser(
         "elastic-bench",
+        parents=[cascade],
         help="elastic tier plane: static-vs-elastic diurnal tails + mid-run repartition identity",
-    )
-    elastic_parser.add_argument(
-        "--scale",
-        choices=("ci", "paper"),
-        default="ci",
-        help="experiment scale for the model and request stream",
-    )
-    elastic_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.8,
-        help="local-exit entropy threshold used by the cascade",
     )
     elastic_parser.add_argument(
         "--peak-workers",
@@ -343,28 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seed for the diurnal arrival process",
     )
-    elastic_parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory to write the table as elastic_serving.txt",
-    )
 
     chaos_parser = subparsers.add_parser(
         "chaos-bench",
+        parents=[cascade],
         help="runtime fault plane: one trace under link flaps / partition / worker crashes",
-    )
-    chaos_parser.add_argument(
-        "--scale",
-        choices=("ci", "paper"),
-        default="ci",
-        help="experiment scale for the model and request stream",
-    )
-    chaos_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.8,
-        help="local-exit entropy threshold used by the cascade",
     )
     chaos_parser.add_argument(
         "--num-requests",
@@ -384,28 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seed for the arrival process, chaos draws and retry jitter",
     )
-    chaos_parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory to write the table as chaos_serving.txt",
-    )
 
     slo_parser = subparsers.add_parser(
         "slo-bench",
+        parents=[cascade],
         help="end-to-end SLO plane: deadlines + hedged offloads vs the chaos scenarios",
-    )
-    slo_parser.add_argument(
-        "--scale",
-        choices=("ci", "paper"),
-        default="ci",
-        help="experiment scale for the model and request stream",
-    )
-    slo_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.8,
-        help="local-exit entropy threshold used by the cascade",
     )
     slo_parser.add_argument(
         "--num-requests",
@@ -431,28 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="instead of the simulated table, run the thread-backend chaos + "
         "deadline smoke against a real wall clock",
     )
-    slo_parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory to write the table as slo_serving.txt",
-    )
 
     infer_parser = subparsers.add_parser(
         "infer-bench",
+        parents=[cascade],
         help="benchmark the compiled inference fast path against the eager forward",
-    )
-    infer_parser.add_argument(
-        "--scale",
-        choices=("ci", "paper"),
-        default="ci",
-        help="experiment scale for the model and measured stream",
-    )
-    infer_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.8,
-        help="local-exit entropy threshold used by the cascade",
     )
     infer_parser.add_argument(
         "--batch-size",
@@ -482,22 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="compiled compute mode to measure (repeatable; default: all three)",
     )
-    infer_parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory to write the table as compiled_forward.txt",
-    )
 
     sweep_parser = subparsers.add_parser(
         "sweep-bench",
+        parents=[common],
         help="benchmark forward-once oracle threshold sweeps vs the per-threshold eager loop",
-    )
-    sweep_parser.add_argument(
-        "--scale",
-        choices=("ci", "paper"),
-        default="ci",
-        help="experiment scale for the model and swept dataset",
     )
     sweep_parser.add_argument(
         "--threshold",
@@ -512,12 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         help="timed rounds per path (fastest kept)",
-    )
-    sweep_parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory to write the table as threshold_sweep_fastpath.txt",
     )
     return parser
 

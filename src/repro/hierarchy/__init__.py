@@ -26,8 +26,6 @@ from .faults import (
     LinkLoss,
     LinkOutage,
     WorkerCrash,
-    random_failures,
-    single_device_failures,
 )
 from .network import LinkStats, Message, NetworkFabric, NetworkLink
 from .node import (
@@ -94,8 +92,6 @@ __all__ = [
     "TransferResult",
     "build_tier_sections",
     "FaultPlan",
-    "single_device_failures",
-    "random_failures",
     "ChaosSchedule",
     "LinkOutage",
     "LinkFlap",

@@ -32,8 +32,6 @@ import numpy as np
 
 __all__ = [
     "FaultPlan",
-    "single_device_failures",
-    "random_failures",
     "LinkOutage",
     "LinkFlap",
     "LinkLoss",
@@ -108,22 +106,6 @@ class FaultPlan:
 
     def is_empty(self) -> bool:
         return not self.failed_devices and not self.failed_edges and not self.intermittent
-
-
-def single_device_failures(num_devices: int) -> List[FaultPlan]:
-    """One fault plan per device, each failing exactly that device (Fig. 10)."""
-    return [FaultPlan(failed_devices={index}) for index in range(num_devices)]
-
-
-def random_failures(
-    num_devices: int, num_failed: int, seed: int = 0
-) -> FaultPlan:
-    """A fault plan with ``num_failed`` devices chosen uniformly at random."""
-    if not 0 <= num_failed <= num_devices:
-        raise ValueError("num_failed must be between 0 and num_devices")
-    rng = np.random.default_rng(seed)
-    failed = rng.choice(num_devices, size=num_failed, replace=False)
-    return FaultPlan(failed_devices=set(int(i) for i in failed), seed=seed)
 
 
 # --------------------------------------------------------------------------- #

@@ -153,8 +153,9 @@ class NetworkFabric:
     def delivery(self, source: str, destination: str, now: float) -> bool:
         """Whether a message from ``source`` to ``destination`` arrives at ``now``.
 
-        With no chaos attached every message arrives (the immortal-network
-        behaviour every pre-chaos caller relies on).  Endpoints here are
+        With no chaos attached every message arrives; with one, a message
+        is lost while its link is dark or when a loss draw fails.  The
+        serving fabric asks once per offload attempt.  Endpoints here are
         whatever granularity the caller offloads at — the serving fabric
         uses tier names, so one outage entry darkens a whole tier uplink.
         """

@@ -153,9 +153,8 @@ class LoadBalancer:
 
         Every replica must share one event loop (a hedge copy and its
         original race on a single timeline — :meth:`from_plan` arranges
-        this) and carry an offload :class:`~repro.serving.resilience.RetryPolicy`.
-        The request-id source is unified across replicas so the merged
-        response stream stays globally unique (wire hedging *before*
+        this).  The request-id source is unified across replicas so the
+        merged response stream stays globally unique (wire hedging *before*
         submitting work), and each fabric's ``hedge_router`` is pointed at
         :meth:`_hedge_sibling`.  ``policy`` overrides/installs the
         :class:`~repro.serving.resilience.HedgePolicy` on every replica;
@@ -174,11 +173,6 @@ class LoadBalancer:
             )
         shared_ids = self.replicas[0]._ids
         for index, fabric in enumerate(self.replicas):
-            if fabric.offload_policy is None:
-                raise ValueError(
-                    f"replica {index} has no offload RetryPolicy; hedge "
-                    "copies ride the resilient offload path"
-                )
             if policy is not None:
                 fabric.hedge_policy = policy
             elif fabric.hedge_policy is None:

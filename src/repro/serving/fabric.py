@@ -105,6 +105,10 @@ __all__ = [
     "DistributedServingFabric",
 ]
 
+#: The offload policy of a fabric built without ``offload=``: one send per
+#: offload, no attempt timer, so a slow or late delivery still lands.
+_NEVER_TIMES_OUT = RetryPolicy(deadline_s=math.inf, max_retries=0)
+
 
 @dataclass(frozen=True)
 class AdaptiveThreshold:
@@ -145,12 +149,11 @@ class FabricRequest:
     path_latency_s: float = 0.0
     #: Total bytes this sample put on the wire (paper Eq. 1 accounting).
     bytes_transferred: float = 0.0
-    #: Offload re-sends performed for this request so far (resilient path).
+    #: Offload re-sends performed for this request so far.
     retries: int = 0
     #: Deepest exit decision this request has already cleared — the answer
-    #: a failover degrades to: ``(prediction, entropy, exit_index,
-    #: exit_name)``.  Maintained when an offload RetryPolicy is set and for
-    #: any request carrying a deadline (retirement needs an answer too).
+    #: a failover or a deadline retirement degrades to: ``(prediction,
+    #: entropy, exit_index, exit_name)``.  Recorded at every offload.
     fallback: Optional[Tuple[int, float, int, str]] = None
     #: End-to-end SLO budget travelling with the request (``None`` = no SLO).
     deadline: Optional[Deadline] = None
@@ -301,13 +304,12 @@ class _RequestIds:
 
 @dataclass
 class _OffloadGroup:
-    """One in-flight resilient offload: a batch's non-exiting rows in transit.
+    """One in-flight offload: a batch's non-exiting rows in transit.
 
-    Under a :class:`~repro.serving.resilience.RetryPolicy` the rows of one
-    batch travel (and are retried) as a single message-group — they share
-    link fate, a deadline timer, and a failover decision.  ``attempts``
-    versions the outstanding send so a late arrival from a superseded
-    attempt can be recognised and suppressed.
+    The rows of one batch travel (and are retried) as a single
+    message-group — they share link fate, a deadline timer, and a failover
+    decision.  ``attempts`` versions the outstanding send so a late arrival
+    from a superseded attempt can be recognised and suppressed.
     """
 
     origin: int
@@ -463,22 +465,25 @@ class DistributedServingFabric:
         rejects a simulated one — wall-clock dispatch is what makes real
         concurrency observable.
     offload:
-        Optional :class:`~repro.serving.resilience.RetryPolicy`.  When set,
-        every offload to the next tier carries a deadline; on timeout or
-        message loss the origin tier retries with exponential backoff +
-        jitter up to the budget, then **fails over** to the deepest local
-        exit the request has already cleared — a degraded but honest answer
-        carrying ``degraded``/``retries`` metadata.  Required whenever an
-        attached chaos schedule can darken links or lose messages (an
-        offload into a dark link would otherwise hang forever).  Without
-        it the legacy immortal-network offload path runs unchanged.
+        :class:`~repro.serving.resilience.RetryPolicy` every offload to the
+        next tier runs under.  Each attempt carries a ``deadline_s``; on
+        timeout or message loss the origin tier retries with exponential
+        backoff + jitter up to the budget, then **fails over** to the
+        deepest local exit the request has already cleared — a degraded but
+        honest answer carrying ``degraded``/``retries`` metadata.  The
+        default (``None``) is a policy whose attempts never time out: each
+        offload is sent once and lands after its transfer delay, even past
+        a request's SLO (flagged ``deadline_exceeded``, never failed over).
+        A finite ``deadline_s`` is required whenever an attached chaos
+        schedule can darken links or lose messages (an offload into a dark
+        link would otherwise hang forever).
     breaker:
         Optional :class:`~repro.serving.resilience.CircuitBreaker` template
         (thresholds only); each inter-tier link gets its own instance.  An
         open breaker fails offloads over to the local exit immediately
         instead of burning a deadline + backoff ladder per batch.  Requires
-        ``offload``.  Defaults to ``CircuitBreaker()`` per link when an
-        offload policy is set.
+        an ``offload`` policy with a finite ``deadline_s`` (only timeouts
+        trip a breaker).  Defaults to ``CircuitBreaker()`` per link.
     chaos:
         Optional :class:`~repro.hierarchy.faults.ChaosSchedule` applied at
         construction (equivalent to calling :meth:`attach_chaos`).
@@ -498,7 +503,7 @@ class DistributedServingFabric:
         ``trigger_fraction`` of an offload group's remaining budget has
         elapsed without a delivery, a speculative copy is re-sent to a
         sibling replica stack; first arrival wins, the rest are cancelled.
-        Requires ``offload`` and a router wired by the
+        Requires a router wired by the
         :class:`~repro.serving.balancer.LoadBalancer` (a lone fabric has
         no siblings, so the policy is inert without one).
     events:
@@ -689,25 +694,17 @@ class DistributedServingFabric:
         #: Earliest-deadline-first batch formation at every tier.
         self.edf = bool(edf)
 
-        if breaker is not None and offload is None:
+        #: Policy every offload runs under (default: never times out).
+        self.offload_policy = offload if offload is not None else _NEVER_TIMES_OUT
+        if breaker is not None and not math.isfinite(self.offload_policy.deadline_s):
             raise ValueError(
-                "breaker without offload does nothing: the circuit breaker "
-                "guards the resilient offload path — pass offload=RetryPolicy(...)"
+                "a breaker only trips on offload timeouts, which never fire "
+                "without a finite deadline — pass offload=RetryPolicy(deadline_s=...)"
             )
-        if hedge is not None and offload is None:
-            raise ValueError(
-                "hedge without offload does nothing: hedge copies ride the "
-                "resilient offload path — pass offload=RetryPolicy(...)"
-            )
-        #: Offload resilience policy (None keeps the legacy immortal-network
-        #: offload path, event for event).
-        self.offload_policy = offload
         self._breaker_template = breaker
         #: Per-link circuit breakers, keyed (origin tier name, target tier name).
         self.breakers: Dict[Tuple[str, str], CircuitBreaker] = {}
-        self._retry_rng = (
-            np.random.default_rng(offload.seed) if offload is not None else None
-        )
+        self._retry_rng = np.random.default_rng(self.offload_policy.seed)
         self.resilience_stats = ResilienceStats()
         #: Hedged-offload policy; the routing callable is wired by the
         #: LoadBalancer (``hedge_router(origin_fabric, origin_tier) ->
@@ -769,11 +766,11 @@ class DistributedServingFabric:
         then goes dark).  On the simulated backend the whole fault
         realisation is deterministic under the schedule's seed.
         """
-        if schedule.has_link_chaos and self.offload_policy is None:
+        if schedule.has_link_chaos and not math.isfinite(self.offload_policy.deadline_s):
             raise ValueError(
                 "this chaos schedule can darken links or lose messages, and "
-                "without an offload RetryPolicy a lost offload would hang "
-                "forever — pass offload=RetryPolicy(...) to the fabric"
+                "without a finite offload deadline a lost offload would hang "
+                "forever — pass offload=RetryPolicy(deadline_s=...) to the fabric"
             )
         self.chaos = schedule
         self.deployment.fabric.attach_chaos(schedule)
@@ -912,6 +909,10 @@ class DistributedServingFabric:
         submit time (ingress transfer included); ``None`` falls back to the
         fabric-wide default.  The deadline travels with the request across
         tiers — and across replicas when a hedge wins.
+
+        Every sample is validated before any request is built or counted:
+        views must match the model's ``(num_devices, C, H, W)`` input, be
+        real-valued and be finite, or :class:`ValueError` is raised.
         """
         when = self.clock.now if at is None else float(at)
         slo = self.slo_s if slo_s is None else float(slo_s)
@@ -919,14 +920,10 @@ class DistributedServingFabric:
             targets = [None] * len(views_list)
         if len(targets) != len(views_list):
             raise ValueError("targets must align with views_list")
+        views_list = [self._checked_views(views) for views in views_list]
         requests = []
         ingress_delay = 0.0
         for views, target in zip(views_list, targets):
-            views = np.asarray(views)
-            if views.ndim != 4:
-                raise ValueError(
-                    f"views must have shape (num_devices, C, H, W), got {views.shape}"
-                )
             delay = 0.0
             if self.ingress is not None:
                 delay = self.ingress.send(
@@ -965,6 +962,27 @@ class DistributedServingFabric:
             lambda now, items=items: self._arrive(0, items, now, fresh=True),
         )
         return [request.request_id for request in requests]
+
+    def _checked_views(self, views) -> np.ndarray:
+        """One sample's views as an array, or ValueError for bad input."""
+        views = np.asarray(views)
+        config = self.model.config
+        expected = (
+            config.num_devices,
+            config.input_channels,
+            config.input_size,
+            config.input_size,
+        )
+        if views.shape != expected:
+            raise ValueError(
+                f"views must have shape {expected} (num_devices, C, H, W), "
+                f"got {views.shape}"
+            )
+        if views.dtype.kind not in "iuf":  # signed, unsigned or floating
+            raise ValueError(f"views must be real numeric, got dtype {views.dtype}")
+        if not np.isfinite(views).all():
+            raise ValueError("views must be finite (no NaN or inf)")
+        return views
 
     def _arrive(
         self,
@@ -1365,19 +1383,16 @@ class DistributedServingFabric:
         remaining = np.flatnonzero(pending)
         if remaining.size:
             # Remember the decision each non-exiting row would fail over or
-            # retire to (the deepest exit already cleared) — maintained on
-            # the resilient path and for any deadline-carrying request.
+            # retire to (the deepest exit already cleared).
             if decisions:
                 decision = decisions[-1]
                 for row in remaining:
-                    request = batch[row].request
-                    if self.offload_policy is not None or request.deadline is not None:
-                        request.fallback = (
-                            int(decision.predictions[row]),
-                            float(decision.entropies[row]),
-                            section.exit_indices[-1],
-                            section.exit_names[-1],
-                        )
+                    batch[row].request.fallback = (
+                        int(decision.predictions[row]),
+                        float(decision.entropies[row]),
+                        section.exit_indices[-1],
+                        section.exit_names[-1],
+                    )
             # SLO budget pre-filter: a row whose remaining budget cannot
             # cover even the (conservative, chargeless) transfer estimate is
             # answered locally *before* any bytes hit the wire — an SLO
@@ -1395,45 +1410,23 @@ class DistributedServingFabric:
                 sendable.append(int(row))
             remaining = np.asarray(sendable, dtype=np.int64)
         if remaining.size:
-            if self.offload_policy is not None:
-                # Resilient offload path: the rows travel (and are retried,
-                # and hedged) as one deadline-guarded message-group whose
-                # budget is the earliest member deadline.
-                group = _OffloadGroup(
-                    origin=tier_index,
-                    requests=[batch[row].request for row in remaining],
-                    rows=np.asarray(remaining),
-                    carry=result.carry,
-                )
-                group.expires_at = min(
-                    (
-                        request.deadline.expires_at
-                        for request in group.requests
-                        if request.deadline is not None
-                    ),
-                    default=math.inf,
-                )
-                self._offload_attempt(group, now)
-            else:
-                transfer = section.offload(result.carry, remaining)
-                # Rows sharing a transfer delay arrive together, so the next
-                # tier sees them as one batch-forming event.
-                groups: Dict[float, List[Tuple[FabricRequest, object]]] = {}
-                for position, row in enumerate(remaining):
-                    request = batch[row].request
-                    delay = float(transfer.delay_s[position])
-                    request.path_latency_s += delay
-                    request.bytes_transferred += float(transfer.bytes[position])
-                    groups.setdefault(delay, []).append(
-                        (request, transfer.payloads[position])
-                    )
-                for delay, items in groups.items():
-                    self.events.schedule(
-                        now + delay,
-                        lambda fire_time, t=tier_index + 1, payloads=items: (
-                            self._arrive(t, payloads, fire_time)
-                        ),
-                    )
+            # The rows travel (and are retried, and hedged) as one
+            # message-group whose budget is the earliest member deadline.
+            group = _OffloadGroup(
+                origin=tier_index,
+                requests=[batch[row].request for row in remaining],
+                rows=remaining,
+                carry=result.carry,
+            )
+            group.expires_at = min(
+                (
+                    request.deadline.expires_at
+                    for request in group.requests
+                    if request.deadline is not None
+                ),
+                default=math.inf,
+            )
+            self._offload_attempt(group, now)
 
         self.tiers[tier_index].pool.release(worker, now)
         if self.autoscaler is not None:
@@ -1447,7 +1440,7 @@ class DistributedServingFabric:
             return
         self._dispatch(tier_index, now)
 
-    # -- resilient offloads: deadline, retry/backoff, hedging, failover -- #
+    # -- offloads: deadline, retry/backoff, hedging, failover ------------- #
     def _settle(self, group: _OffloadGroup) -> None:
         """Mark a group decided and disarm every timer racing for it."""
         group.settled = True
@@ -1467,10 +1460,20 @@ class DistributedServingFabric:
             handle.cancel()
         group.hedge_deliveries.clear()
 
-    def _attempt_timeout_at(self, policy: RetryPolicy, group: _OffloadGroup, now: float) -> float:
-        """One attempt's give-up time: the retry deadline, clipped to the
-        group's end-to-end budget (waiting past it helps nobody)."""
-        return min(now + policy.deadline_s, group.expires_at)
+    def _arm_attempt_timer(self, group: _OffloadGroup, now: float) -> None:
+        """Arm the current attempt's give-up timer: the retry deadline,
+        clipped to the group's end-to-end budget (waiting past it helps
+        nobody).  A policy without a finite deadline arms none — the
+        attempt lands whenever its transfer does."""
+        deadline_s = self.offload_policy.deadline_s
+        if not math.isfinite(deadline_s):
+            return
+        group.timeout_handle = self.events.schedule(
+            min(now + deadline_s, group.expires_at),
+            lambda fire_time, g=group, a=group.attempts: (
+                self._offload_timeout(g, a, fire_time)
+            ),
+        )
 
     def _hedge_pending(self, group: _OffloadGroup) -> bool:
         """A hedge copy is still in flight and may yet deliver the group."""
@@ -1484,8 +1487,6 @@ class DistributedServingFabric:
             # over — a settled group would answer its requests twice.
             return
         group.resend_handle = None
-        policy = self.offload_policy
-        assert policy is not None
         origin = self.tiers[group.origin]
         target = self.tiers[group.origin + 1]
         breaker = self.breaker_for(origin.name, target.name)
@@ -1497,14 +1498,8 @@ class DistributedServingFabric:
             self.resilience_stats.breaker_fast_fails += 1
             if self._fire_hedge(group, now):
                 group.attempts += 1
-                attempt = group.attempts
                 group.delivery_handle = None
-                group.timeout_handle = self.events.schedule(
-                    self._attempt_timeout_at(policy, group, now),
-                    lambda fire_time, g=group, a=attempt: (
-                        self._offload_timeout(g, a, fire_time)
-                    ),
-                )
+                self._arm_attempt_timer(group, now)
                 return
             if self._hedge_pending(group):
                 # A hedge copy is already in flight; failing over now would
@@ -1535,12 +1530,7 @@ class DistributedServingFabric:
             )
         else:
             group.delivery_handle = None
-        group.timeout_handle = self.events.schedule(
-            self._attempt_timeout_at(policy, group, now),
-            lambda fire_time, g=group, a=attempt: (
-                self._offload_timeout(g, a, fire_time)
-            ),
-        )
+        self._arm_attempt_timer(group, now)
         if (
             group.attempts == 1
             and self.hedge_policy is not None
@@ -1659,7 +1649,6 @@ class DistributedServingFabric:
         if group.settled or attempt != group.attempts:
             return
         policy = self.offload_policy
-        assert policy is not None
         if group.delivery_handle is not None:
             # The transfer was slower than the deadline: treat the payload
             # as lost (the re-send, not this straggler, now owns delivery).

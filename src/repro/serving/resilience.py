@@ -118,6 +118,8 @@ class RetryPolicy:
     backoff_max_s)`` plus a uniform jitter in ``[0, jitter_s)`` first.
     When the budget is exhausted (or a circuit breaker fast-fails the
     link), the origin tier answers from its own exit instead.
+    ``deadline_s=math.inf`` arms no attempt timer, so an attempt never
+    times out; that is the policy of a fabric built without ``offload=``.
     """
 
     deadline_s: float = 0.25

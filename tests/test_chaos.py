@@ -47,8 +47,8 @@ POLICY = RetryPolicy(
 )
 
 
-def _fabric(model, **kwargs):
-    plan = PartitionPlan(model)
+def _fabric(model, plan=None, **kwargs):
+    plan = PartitionPlan(model) if plan is None else plan
     kwargs.setdefault("batching", BATCHING)
     kwargs.setdefault("service_models", [SERVICE] * plan.num_tiers)
     return DistributedServingFabric.from_plan(plan, THRESHOLD, **kwargs)
@@ -351,23 +351,52 @@ class TestWorkerPoolOffline:
 
 
 # --------------------------------------------------------------------------- #
+#: Fabric shapes the default offload policy must serve exactly like a
+#: finite one when nothing fails.
+EQUIVALENCE_FABRICS = {
+    "two-tier": lambda model, **kw: _fabric(model, **kw),
+    "single-tier": lambda model, **kw: DistributedServingFabric.single_tier(
+        model, THRESHOLD, batching=BATCHING, service_models=[SERVICE], **kw
+    ),
+    "two-workers": lambda model, **kw: _fabric(
+        model, plan=PartitionPlan(model, workers_per_tier=2), **kw
+    ),
+    # Tight enough that a few rows retire before their offload and most
+    # answers land past the budget.
+    "slo": lambda model, **kw: _fabric(model, slo_s=0.07, **kw),
+}
+
+
 class TestResilientOffload:
-    def test_no_chaos_resilient_path_matches_legacy_exactly(
-        self, trained_ddnn, tiny_test
+    @pytest.mark.parametrize("shape", sorted(EQUIVALENCE_FABRICS))
+    def test_default_policy_matches_finite_policy_without_chaos(
+        self, trained_ddnn, tiny_test, shape
     ):
-        legacy = _serve(_fabric(trained_ddnn), tiny_test)
-        fabric = _fabric(trained_ddnn, offload=POLICY)
-        resilient = _serve(fabric, tiny_test)
+        build = EQUIVALENCE_FABRICS[shape]
+        default_fabric = build(trained_ddnn)
+        default = _serve(default_fabric, tiny_test)
+        finite_fabric = build(trained_ddnn, offload=POLICY)
+        finite = _serve(finite_fabric, tiny_test)
         key = lambda rs: sorted(
-            (r.request_id, r.prediction, r.exit_index, r.exit_name, r.completion_time)
+            (
+                r.request_id,
+                r.prediction,
+                r.exit_index,
+                r.exit_name,
+                r.completion_time,
+                r.bytes_transferred,
+                r.degraded,
+                r.deadline_exceeded,
+            )
             for r in rs
         )
-        assert key(resilient.responses) == key(legacy.responses)
-        assert resilient.degraded_fraction == 0.0
-        assert resilient.retry_total == 0
-        stats = fabric.resilience_stats
-        assert stats.attempts > 0  # the resilient path was actually exercised
-        assert stats.timeouts == stats.retries == stats.failovers == 0
+        assert key(finite.responses) == key(default.responses)
+        assert finite.retry_total == default.retry_total == 0
+        for fabric in (default_fabric, finite_fabric):
+            stats = fabric.resilience_stats
+            # Every offload went through the one offload path.
+            assert (stats.attempts > 0) == (len(fabric.tiers) > 1)
+            assert stats.timeouts == stats.retries == stats.failovers == 0
 
     def test_partition_fails_over_to_local_exits(self, trained_ddnn, tiny_test):
         fabric = _fabric(
@@ -463,17 +492,19 @@ class TestResilientOffload:
         assert fabric.healthy  # restart restored the pool
 
     def test_link_chaos_without_retry_policy_is_rejected(self, trained_ddnn):
-        fabric = _fabric(trained_ddnn)
-        with pytest.raises(ValueError, match="RetryPolicy"):
-            fabric.attach_chaos(ChaosSchedule(outages=[LinkOutage()]))
+        for offload in (None, RetryPolicy(deadline_s=math.inf)):
+            fabric = _fabric(trained_ddnn, offload=offload)
+            with pytest.raises(ValueError, match="finite offload deadline"):
+                fabric.attach_chaos(ChaosSchedule(outages=[LinkOutage()]))
         # Pure worker chaos is fine without one: links never darken.
         fabric.attach_chaos(
             ChaosSchedule(crashes=[WorkerCrash(tier="cloud", start=0.0, end=0.1)])
         )
 
     def test_breaker_without_offload_policy_is_rejected(self, trained_ddnn):
-        with pytest.raises(ValueError, match="offload"):
-            _fabric(trained_ddnn, breaker=CircuitBreaker())
+        for offload in (None, RetryPolicy(deadline_s=math.inf)):
+            with pytest.raises(ValueError, match="finite deadline"):
+                _fabric(trained_ddnn, offload=offload, breaker=CircuitBreaker())
 
 
 # --------------------------------------------------------------------------- #

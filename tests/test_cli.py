@@ -7,6 +7,19 @@ import pytest
 from repro.experiments import EXPERIMENT_REGISTRY
 from repro.experiments.cli import build_parser, main
 
+#: Every bench subcommand; all but sweep-bench run the cascade at --threshold.
+BENCH_COMMANDS = (
+    "serve-bench",
+    "load-bench",
+    "dist-bench",
+    "parallel-bench",
+    "elastic-bench",
+    "chaos-bench",
+    "slo-bench",
+    "infer-bench",
+    "sweep-bench",
+)
+
 
 class TestParser:
     def test_requires_a_command(self):
@@ -28,6 +41,21 @@ class TestParser:
         )
         assert args.scale == "paper"
         assert args.output_dir == tmp_path
+
+    @pytest.mark.parametrize("command", BENCH_COMMANDS)
+    def test_bench_commands_share_scale_output_and_threshold(self, command, tmp_path):
+        parser = build_parser()
+        args = parser.parse_args([command, "--scale", "paper", "--output-dir", str(tmp_path)])
+        assert (args.command, args.scale, args.output_dir) == (command, "paper", tmp_path)
+        defaults = parser.parse_args([command])
+        assert (defaults.scale, defaults.output_dir) == ("ci", None)
+        if command == "sweep-bench":
+            # sweep-bench's --threshold is its own repeatable grid option.
+            assert defaults.thresholds is None
+            assert parser.parse_args([command, "--threshold", "0.3"]).thresholds == [0.3]
+        else:
+            assert defaults.threshold == 0.8
+            assert parser.parse_args([command, "--threshold", "0.3"]).threshold == 0.3
 
 
 class TestMain:

@@ -341,6 +341,33 @@ class TestFabricValidation:
                 PoissonProcess(10.0), tiny_test.images[0], num_requests=2
             )  # 4-D, not a stream
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda views: np.full_like(views, np.nan), id="nan"),
+            pytest.param(lambda views: views[1:], id="wrong-device-count"),
+            pytest.param(lambda views: views.astype(object), id="object-dtype"),
+        ],
+    )
+    def test_bad_views_are_rejected_at_ingress(self, trained_ddnn, tiny_test, corrupt):
+        """Bad input fails in submit, before any request is built, counted,
+        sent over the ingress link or scheduled — even beside a good sample."""
+        fabric = DistributedServingFabric(
+            partition_ddnn(trained_ddnn),
+            0.8,
+            client_link=DEFAULT_LOCAL_LINK,
+            request_bytes=100.0,
+            slo_s=1.0,
+        )
+        good = tiny_test.images[0]
+        with pytest.raises(ValueError, match="views must"):
+            fabric.submit_many([good, corrupt(good)])
+        assert fabric.offered == 0
+        assert len(fabric.events) == 0
+        assert fabric.ingress.stats.messages == 0
+        fabric.submit(good)  # the fabric still serves valid input
+        assert fabric.offered == 1
+
     def test_mean_bytes_matches_hierarchy_accounting(self, trained_ddnn, tiny_test):
         """The fabric's per-request byte accounting equals the offline
         hierarchy runtime's Eq. 1 accounting (same sections, same messages)."""

@@ -15,8 +15,6 @@ from repro.hierarchy import (
     NetworkFabric,
     NetworkLink,
     partition_ddnn,
-    random_failures,
-    single_device_failures,
 )
 from repro.hierarchy.telemetry import SampleTrace, Telemetry
 
@@ -82,17 +80,6 @@ class TestFaultPlans:
     def test_intermittent_probability_validated(self):
         with pytest.raises(ValueError):
             FaultPlan(intermittent={0: 1.5})
-
-    def test_single_device_failures_helper(self):
-        plans = single_device_failures(6)
-        assert len(plans) == 6
-        assert plans[2].failed_devices == {2}
-
-    def test_random_failures_helper(self):
-        plan = random_failures(6, 2, seed=1)
-        assert len(plan.failed_devices) == 2
-        with pytest.raises(ValueError):
-            random_failures(4, 5)
 
 
 class TestPartition:

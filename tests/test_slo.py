@@ -12,6 +12,7 @@ import pytest
 from repro.hierarchy import (
     ChaosSchedule,
     LinkOutage,
+    LinkSpec,
     PartitionPlan,
     WorkerCrash,
 )
@@ -190,6 +191,51 @@ class TestDeadlinePropagation:
         control.run_until_idle(drain=True)
         assert control.resilience_stats.attempts > 0
 
+    def test_default_policy_lets_a_slow_offload_answer_late(
+        self, trained_ddnn, tiny_test
+    ):
+        """Without ``offload=`` no attempt timer runs: an offload over an
+        uplink slower than the retry deadline still lands, and an answer
+        finishing past the SLO is flagged ``deadline_exceeded`` — not failed
+        over.  A finite retry deadline gives up on the same uplink."""
+        plan = PartitionPlan(
+            trained_ddnn, uplink=LinkSpec(bandwidth_bytes_per_s=250_000.0, latency_s=0.2)
+        )
+        single = BatchingPolicy(max_batch_size=1, max_wait_s=0.0)
+        compute = SERVICE.batch_time_s(1)
+
+        def serve(offload):
+            fabric = DistributedServingFabric.from_plan(
+                plan,
+                0.0,  # no local exit is ever confident: every request offloads
+                batching=single,
+                service_models=[SERVICE] * plan.num_tiers,
+                offload=offload,
+            )
+            transfer = fabric.sections[0].transfer_estimate_s()
+            assert transfer > POLICY.deadline_s  # slower than the retry deadline
+            # The budget runs out halfway through the cloud forward.
+            slo = compute + transfer + 0.5 * compute
+            for index in range(4):
+                fabric.submit(tiny_test.images[index], at=float(index), slo_s=slo)
+            fabric.run_until_idle()
+            assert len(fabric.responses) == 4
+            return fabric
+
+        fabric = serve(None)
+        cloud_exit = fabric.sections[-1].exit_name
+        assert all(
+            r.exit_name == cloud_exit and r.deadline_exceeded and not r.degraded
+            for r in fabric.responses
+        )
+        stats = fabric.resilience_stats
+        assert stats.attempts == 4
+        assert stats.timeouts == stats.failovers == stats.deadline_expired == 0
+
+        finite = serve(POLICY)
+        assert all(r.degraded for r in finite.responses)
+        assert finite.resilience_stats.timeouts > 0
+
     def test_edf_forms_batches_earliest_deadline_first(self, trained_ddnn, tiny_test):
         """With ``edf=True`` a queued request with the tighter budget jumps
         ahead; without it the queue stays FIFO."""
@@ -221,7 +267,7 @@ class TestDeadlinePropagation:
 
 # --------------------------------------------------------------------------- #
 class TestHedgedOffloads:
-    def _balancer(self, model, slo_s, trigger, chaos=None):
+    def _balancer(self, model, slo_s, trigger, chaos=None, offload=POLICY):
         plan = PartitionPlan(
             model,
             replicas=2,
@@ -234,7 +280,7 @@ class TestHedgedOffloads:
             strategy="round-robin",
             batching=BATCHING,
             service_models=[SERVICE] * plan.num_tiers,
-            offload=POLICY,
+            offload=offload,
         )
         if chaos is not None:
             balancer.replicas[0].attach_chaos(chaos)
@@ -273,14 +319,22 @@ class TestHedgedOffloads:
             resilience["hedge_wins"] / report.hedge_total
         )
 
-    def test_original_delivery_beats_the_slower_hedge(self, trained_ddnn, tiny_test):
+    @pytest.mark.parametrize(
+        "offload", [POLICY, None], ids=["retry-policy", "default-policy"]
+    )
+    def test_original_delivery_beats_the_slower_hedge(
+        self, trained_ddnn, tiny_test, offload
+    ):
         """A hedge fired while the healthy original is in flight loses the
         race: its delivery is cancelled, nothing is answered twice, and the
-        losing copy's bytes are still charged."""
+        losing copy's bytes are still charged — with or without an explicit
+        retry policy."""
         estimate = _transfer_estimate(trained_ddnn)
         # Trigger at ~0.4 of one transfer: the hedge departs mid-flight of
         # the original and, over an identical sibling link, lands after it.
-        balancer = self._balancer(trained_ddnn, slo_s=4.0 * estimate, trigger=0.1)
+        balancer = self._balancer(
+            trained_ddnn, slo_s=4.0 * estimate, trigger=0.1, offload=offload
+        )
         report = self._drive(balancer, tiny_test)
         assert report.served == 12
         assert len({r.request_id for r in report.responses}) == 12
