@@ -5,7 +5,7 @@ Demonstrates :class:`repro.core.oracle.ExitOracle`:
 1. train a small DDNN;
 2. capture the per-exit logits/entropies in ONE compiled forward pass;
 3. replay staged routing from the cache and verify it is byte-identical
-   to :class:`~repro.core.inference.StagedInferenceEngine`;
+   to what the online one-tier serving fabric answers;
 4. sweep a whole threshold grid (Table II style) in vectorized numpy and
    time it against the per-threshold eager loop it replaces; and
 5. calibrate an exit-rate target with an exact entropy-CDF quantile
@@ -33,6 +33,7 @@ from repro.core import (
     threshold_for_exit_rate,
 )
 from repro.datasets import load_mvmc_splits
+from repro.serving import BatchingPolicy, DistributedServingFabric
 
 TABLE2_GRID = (0.1, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -65,13 +66,15 @@ def main() -> None:
           f"in one compiled forward ({capture_s * 1e3:.1f} ms)")
 
     # -- byte-identical replay ------------------------------------------ #
-    engine = StagedInferenceEngine(model, 0.8, compile=True)
-    eager = engine.run(test_set)
+    server = DistributedServingFabric.single_tier(
+        model, 0.8, compile=True, batching=BatchingPolicy(max_batch_size=64, max_wait_s=0.0)
+    )
+    served = server.serve_dataset(test_set)
     cached = oracle.route(0.8)
-    assert np.array_equal(eager.predictions, cached.predictions)
-    assert np.array_equal(eager.exit_indices, cached.exit_indices)
-    assert np.array_equal(eager.entropies, cached.entropies)
-    print("route(0.8) byte-identical to StagedInferenceEngine.run: OK")
+    assert np.array_equal([r.prediction for r in served], cached.predictions)
+    assert np.array_equal([r.exit_index for r in served], cached.exit_indices)
+    assert np.array_equal([r.entropy for r in served], cached.entropies)
+    print("route(0.8) byte-identical to the one-tier serving fabric: OK")
 
     # -- whole grid, zero extra forwards -------------------------------- #
     start = time.perf_counter()

@@ -21,11 +21,13 @@ and emits plans executing on raw ``np.ndarray``s with
 Entry points: :func:`compile_plan` for a single module stack,
 :func:`compile_ddnn` for a whole multi-exit DDNN, and :func:`verify_compiled`
 for the numerical-equivalence guarantee against the eager path.  The
-``compile=True`` knobs on :class:`~repro.core.cascade.ExitCascade`,
-:class:`~repro.core.inference.StagedInferenceEngine`,
+``compile=True`` knobs on :meth:`~repro.core.oracle.ExitOracle.capture`
+(and so :class:`~repro.core.inference.StagedInferenceEngine`),
 :class:`~repro.hierarchy.runtime.HierarchyRuntime` and
 :class:`~repro.serving.fabric.DistributedServingFabric` route their forwards
-through this package.
+through this package; :func:`compiled_plan_for` hands out the shared
+per-``(model, precision)`` plan and :func:`invalidate_plan` drops a
+model's plans after retraining.
 """
 
 from .cache import compiled_plan_for, invalidate_plan

@@ -1,10 +1,12 @@
 """Module-level memoization of compiled inference plans.
 
-Before this cache existed every :class:`~repro.core.cascade.ExitCascade`
-(and therefore every fresh :class:`~repro.core.inference.StagedInferenceEngine`,
-grid helper or short-lived server) carried its own ``_compiled_plans`` dict
-and recompiled :func:`~repro.compile.ddnn.compile_ddnn` for a model the
-process had already compiled.  The cache here is shared by all of them:
+Every offline capture (:meth:`~repro.core.oracle.ExitOracle.capture`, and
+so every :class:`~repro.core.inference.StagedInferenceEngine` and grid
+helper), every compiled :class:`~repro.hierarchy.runtime.HierarchyRuntime`
+and the serving fabric's shed path look their plan up here instead of
+recompiling :func:`~repro.compile.ddnn.compile_ddnn` for a model the
+process already compiled.  Callers use :func:`compiled_plan_for` and
+:func:`invalidate_plan` directly; the cache they share is
 
 * keyed by ``(id(model), precision)`` with the identity double-checked
   against a weak reference, so a recycled ``id()`` can never serve another

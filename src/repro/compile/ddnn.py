@@ -26,7 +26,7 @@ from ..core.aggregation import (
     MaxPoolAggregator,
 )
 from ..core.ddnn import DDNN, DeviceBranch, _UpperTier
-from ..core.exits import normalized_entropy, softmax_probabilities
+from ..core.exits import first_exits, normalized_entropy, softmax_probabilities
 from ..nn.layers import Flatten
 from ..nn.tensor import Tensor, no_grad
 from .ops import CompileError, PRECISIONS, precision_dtype
@@ -390,28 +390,6 @@ _VERIFY_TOLERANCES = {
 _AGREEMENT_THRESHOLD_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
-def _routed_exits(
-    exit_logits: Sequence[np.ndarray], thresholds: Sequence[float]
-) -> np.ndarray:
-    """Per-sample chosen exit index under the entropy-threshold cascade.
-
-    Pure-numpy replay of the :class:`~repro.core.cascade.ExitCascade` rule:
-    take the first exit whose normalized entropy is at or below its
-    threshold; the deepest exit takes whatever remains.
-    """
-    num_exits = len(exit_logits)
-    count = exit_logits[0].shape[0]
-    chosen = np.full(count, num_exits - 1, dtype=np.int64)
-    undecided = np.ones(count, dtype=bool)
-    for index, threshold in enumerate(thresholds[: num_exits - 1]):
-        logits = np.asarray(exit_logits[index], dtype=np.float64)
-        entropy = normalized_entropy(softmax_probabilities(logits))
-        taken = undecided & (entropy <= threshold)
-        chosen[taken] = index
-        undecided &= ~taken
-    return chosen
-
-
 def routing_agreement(
     reference_logits: Sequence[np.ndarray],
     candidate_logits: Sequence[np.ndarray],
@@ -429,16 +407,18 @@ def routing_agreement(
     grids = (
         [[value] * (num_exits - 1) for value in _AGREEMENT_THRESHOLD_GRID]
         if thresholds is None
-        else [list(thresholds)]
+        else [list(thresholds)[: num_exits - 1]]
     )
-    agree = 0
-    total = 0
-    for grid in grids:
-        reference = _routed_exits(reference_logits, grid)
-        candidate = _routed_exits(candidate_logits, grid)
-        agree += int(np.count_nonzero(reference == candidate))
-        total += reference.shape[0]
-    return agree / total if total else 1.0
+    # The final exit's threshold is irrelevant: first_exits forces it.
+    matrix = np.array([grid + [1.0] for grid in grids])
+    reference = first_exits(_exit_entropies(reference_logits), matrix)
+    candidate = first_exits(_exit_entropies(candidate_logits), matrix)
+    return float(np.mean(reference == candidate)) if reference.size else 1.0
+
+
+def _exit_entropies(exit_logits: Sequence[np.ndarray]) -> np.ndarray:
+    """``(num_exits, N)`` normalized entropies of per-exit logits."""
+    return np.stack([normalized_entropy(softmax_probabilities(logits)) for logits in exit_logits])
 
 
 def verify_compiled(

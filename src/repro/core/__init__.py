@@ -8,23 +8,19 @@ Public surface:
 * aggregation schemes (MP / AP / CC);
 * :class:`ExitCriterion` and :func:`normalized_entropy` — the confidence rule;
 * :class:`DDNNTrainer` — joint multi-exit training;
-* :class:`ExitCascade` — the shared staged exit-cascade engine;
-* :class:`StagedInferenceEngine` — threshold-based distributed inference;
-* :class:`ExitOracle` — forward-once logit cache: vectorized threshold
-  sweeps, exit-rate quantile calibration and accuracy reports;
+* :class:`ExitCascade` — the cascade's thresholds, criteria and Eq. 1
+  accounting, shared by every cascade consumer;
+* :class:`ExitOracle` — the offline forward-and-route path: a forward-once
+  logit cache with routing, vectorized threshold sweeps, exit-rate quantile
+  calibration and accuracy reports;
+* :class:`StagedInferenceEngine` — threshold-based inference (capture then
+  route);
 * :class:`CommunicationModel` — the paper's Eq. 1 byte accounting;
 * threshold search and accuracy reporting helpers.
 """
 
 from .accuracy import AccuracyReport, evaluate_exit_accuracies, evaluate_overall, full_accuracy_report
-from .cascade import (
-    CascadeResult,
-    CascadeRouter,
-    ExitCascade,
-    StageOutcome,
-    build_exit_criteria,
-    normalize_thresholds,
-)
+from .cascade import ExitCascade, build_exit_criteria, normalize_thresholds
 from .aggregation import (
     AGGREGATION_SCHEMES,
     Aggregator,
@@ -41,7 +37,7 @@ from .communication import (
 from .config import DDNNConfig, DDNNTopology, TrainingConfig
 from .ddnn import DDNN, CloudModel, DDNNOutput, DeviceBranch, EdgeModel, build_ddnn
 from .exits import ExitCriterion, ExitDecision, normalized_entropy, softmax_probabilities
-from .inference import InferenceResult, StagedInferenceEngine, staged_inference
+from .inference import InferenceResult, StagedInferenceEngine
 from .oracle import ExitOracle, SweepPoint, SweepTable
 from .threshold import (
     ThresholdCandidate,
@@ -72,9 +68,6 @@ __all__ = [
     "normalized_entropy",
     "softmax_probabilities",
     "ExitCascade",
-    "CascadeRouter",
-    "CascadeResult",
-    "StageOutcome",
     "normalize_thresholds",
     "build_exit_criteria",
     "DDNNTrainer",
@@ -83,7 +76,6 @@ __all__ = [
     "train_ddnn",
     "StagedInferenceEngine",
     "InferenceResult",
-    "staged_inference",
     "ExitOracle",
     "SweepPoint",
     "SweepTable",

@@ -25,6 +25,7 @@ __all__ = [
     "softmax_probabilities",
     "ExitDecision",
     "ExitCriterion",
+    "first_exits",
 ]
 
 
@@ -125,6 +126,20 @@ class ExitCriterion:
     def with_threshold(self, threshold: float) -> "ExitCriterion":
         """Return a copy with a different threshold."""
         return ExitCriterion(threshold, name=self.name)
+
+
+def first_exits(entropies: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """The cascade rule: each sample's first exit at or below its threshold.
+
+    ``entropies`` is ``(num_exits, N)`` and ``thresholds`` is
+    ``(G, num_exits)`` — one threshold setting per row.  The result is the
+    ``(G, N)`` int64 index of the exit that classifies each sample under
+    each setting.  The final exit claims whatever no earlier exit took,
+    whatever its threshold, and a NaN entropy never clears a threshold.
+    """
+    confident = np.asarray(entropies)[None, :, :] <= np.asarray(thresholds)[:, :, None]
+    confident[:, -1, :] = True
+    return np.argmax(confident, axis=1).astype(np.int64)
 
 
 def exit_thresholds_from_sequence(

@@ -7,7 +7,10 @@ forwarded to the edge and finally to the cloud, whose exit always classifies.
 
 :class:`StagedInferenceEngine` runs this procedure on an in-memory model and
 produces an :class:`InferenceResult` with per-sample predictions, exit
-assignments and the communication cost implied by the local exit rate.
+assignments and the communication cost implied by the local exit rate.  It
+is :meth:`ExitOracle.capture <repro.core.oracle.ExitOracle.capture>`
+followed by :meth:`~repro.core.oracle.ExitOracle.route` — the one offline
+forward-and-route path.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .cascade import ExitCascade, Thresholds
 from .ddnn import DDNN
 from .exits import ExitCriterion
 
-__all__ = ["InferenceResult", "StagedInferenceEngine", "staged_inference"]
+__all__ = ["InferenceResult", "StagedInferenceEngine"]
 
 
 @dataclass
@@ -98,9 +101,11 @@ class InferenceResult:
 class StagedInferenceEngine:
     """Runs threshold-based multi-exit inference for a trained DDNN.
 
-    A thin adapter over the shared :class:`~repro.core.cascade.ExitCascade`
-    engine, which owns threshold normalization, the per-exit decision rule
-    and the per-sample routing loop.
+    Thresholds are validated into an
+    :class:`~repro.core.cascade.ExitCascade` up front; :meth:`run` captures
+    the dataset's per-exit logits with
+    :meth:`~repro.core.oracle.ExitOracle.capture` and routes them with
+    :meth:`~repro.core.oracle.ExitOracle.route`.
 
     Parameters
     ----------
@@ -128,11 +133,14 @@ class StagedInferenceEngine:
         compile: bool = False,
         precision: str = "float64",
     ) -> None:
+        from ..compile.ops import precision_dtype
+
+        precision_dtype(precision)  # rejects an unknown mode here, not at run()
         self.model = model
         self.batch_size = batch_size
-        self.cascade = ExitCascade.for_model(
-            model, thresholds, compile=compile, precision=precision
-        )
+        self.compile = bool(compile)
+        self.precision = precision
+        self.cascade = ExitCascade.for_model(model, thresholds)
         self.communication = self.cascade.communication
 
     @property
@@ -145,21 +153,17 @@ class StagedInferenceEngine:
         self, dataset: Union[MVMCDataset, np.ndarray], targets: Optional[np.ndarray] = None
     ) -> InferenceResult:
         """Run staged inference over a dataset or raw view array."""
-        if isinstance(dataset, MVMCDataset):
-            views = dataset.images
-            targets = dataset.labels if targets is None else targets
-        else:
-            views = np.asarray(dataset)
+        from .oracle import ExitOracle
 
-        routed = self.cascade.run_model(self.model, views, batch_size=self.batch_size)
-        return InferenceResult(
-            predictions=routed.predictions,
-            exit_indices=routed.exit_indices,
-            exit_names=routed.exit_names,
-            entropies=routed.entropies,
-            exit_predictions=routed.exit_predictions,
-            targets=None if targets is None else np.asarray(targets),
+        oracle = ExitOracle.capture(
+            self.model,
+            dataset,
+            targets,
+            batch_size=self.batch_size,
+            compile=self.compile,
+            precision=self.precision,
         )
+        return oracle.route(self.cascade.thresholds)
 
     # ------------------------------------------------------------------ #
     def communication_bytes(self, result: InferenceResult) -> float:
@@ -170,17 +174,3 @@ class StagedInferenceEngine:
         """Reduction factor versus offloading raw sensor input to the cloud."""
         return self.communication.reduction_factor(result.local_exit_fraction)
 
-
-def staged_inference(
-    model: DDNN,
-    dataset: MVMCDataset,
-    thresholds: Union[float, Sequence[float]],
-    batch_size: int = 64,
-    compile: bool = False,
-    precision: str = "float64",
-) -> InferenceResult:
-    """One-call helper: build an engine, run it on the dataset, return the result."""
-    engine = StagedInferenceEngine(
-        model, thresholds, batch_size=batch_size, compile=compile, precision=precision
-    )
-    return engine.run(dataset)

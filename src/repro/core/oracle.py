@@ -7,13 +7,16 @@ a fixed model on a fixed dataset.  The entropy-threshold cascade never looks
 at the inputs again once the logits exist; routing is pure numpy over the
 ``(num_exits, N)`` entropy matrix.
 
-:class:`ExitOracle` exploits that: :meth:`ExitOracle.capture` runs the
-forward pass **once** (batched, compiled by default) and stores every exit's
-logits, argmax predictions and normalized entropies.  From the cache,
+:class:`ExitOracle` is the one offline implementation of forward-and-route:
+:meth:`ExitOracle.capture` runs the forward pass **once** (batched, compiled
+by default) and stores every exit's logits, argmax predictions and
+normalized entropies.  From the cache,
 
-* :meth:`route` reproduces :meth:`~repro.core.cascade.ExitCascade.run_model`
-  routing *byte-identically* (first exit at-or-below threshold, final exit
-  forced) without touching the model;
+* :meth:`route` applies the cascade rule
+  (:func:`~repro.core.exits.first_exits`: first exit at or below its
+  threshold, final exit forced) without touching the model —
+  :class:`~repro.core.inference.StagedInferenceEngine` is ``capture`` then
+  ``route``;
 * :meth:`sweep` answers an entire threshold grid in ``O(num_exits x N)``
   numpy per grid point — a 21-point calibration costs one forward instead
   of 21;
@@ -23,10 +26,12 @@ logits, argmax predictions and normalized entropies.  From the cache,
   straight off the empirical entropy CDF, making exit-rate calibration an
   exact quantile lookup.
 
-Byte-identity with the eager cascade holds because every per-sample quantity
-(softmax, entropy, argmax) is computed row-wise by the same code paths on the
-same logits: the oracle forwards the dataset in the same ``batch_size``
-chunks the engine would, so even BLAS batch-blocking effects are identical.
+Routing is byte-identical to the online
+:class:`~repro.serving.fabric.DistributedServingFabric` replaying the same
+dataset at the same batch size: every per-sample quantity (softmax,
+entropy, argmax) is computed row-wise by the same code on the same logits,
+and the capture forwards in the same ``batch_size`` chunks, so even BLAS
+batch-blocking effects are identical.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from ..nn.tensor import Tensor, no_grad
 from .cascade import Thresholds, normalize_thresholds
 from .communication import CommunicationModel
 from .ddnn import DDNN
-from .exits import normalized_entropy, softmax_probabilities
+from .exits import first_exits, normalized_entropy, softmax_probabilities
 from .inference import InferenceResult
 
 __all__ = ["ExitOracle", "SweepPoint", "SweepTable"]
@@ -157,15 +162,15 @@ class ExitOracle:
     ) -> "ExitOracle":
         """Run the one batched forward pass and cache every exit's logits.
 
-        ``compile=True`` (the default) runs the shared
-        :mod:`repro.compile` plan from the process-wide plan cache; the
-        forward happens in ``batch_size`` chunks — the same chunks
-        :class:`~repro.core.inference.StagedInferenceEngine` would use — so
-        captured logits are byte-identical to what the engine at the same
-        ``compile`` setting would see.  ``precision`` selects the compiled
-        compute mode (exact ``"float64"`` default, tolerance ``"float32"``,
-        ``"bitpacked"``); the cached logit matrix is always stored as
-        float64 regardless of the compute mode.
+        ``compile=True`` (the default) runs the shared plan from the
+        process-wide cache (:func:`~repro.compile.cache.compiled_plan_for`);
+        ``compile=False`` runs the eager model.  The forward happens in
+        ``batch_size`` chunks, so the captured logits are byte-identical to
+        any forward over the same chunks at the same setting — a one-tier
+        serving fabric batching ``batch_size`` requests, for one.
+        ``precision`` selects the compiled compute mode (exact ``"float64"``
+        default, tolerance ``"float32"``, ``"bitpacked"``); the cached logit
+        matrix is always stored as float64 regardless of the compute mode.
         """
         if isinstance(dataset, MVMCDataset):
             views = dataset.images
@@ -247,9 +252,9 @@ class ExitOracle:
         return self.targets
 
     def _normalized(self, thresholds: Thresholds) -> np.ndarray:
-        """Per-exit thresholds with the engine's full validation.
+        """Per-exit thresholds, validated as strictly as an ``ExitCascade``.
 
-        :func:`normalize_thresholds` rejects bool/NaN/negative; the engine
+        :func:`normalize_thresholds` rejects bool/NaN/negative; the cascade
         additionally rejects non-final thresholds above 1.0 when it builds
         its :class:`~repro.core.exits.ExitCriterion` list.  Mirror that here
         so a typo'd threshold (80 instead of 0.80) fails loudly instead of
@@ -261,39 +266,24 @@ class ExitOracle:
                 raise ValueError(f"threshold must lie in [0, 1], got {value}")
         return np.array(values)
 
-    def _first_exits(self, threshold_matrix: np.ndarray) -> np.ndarray:
-        """First confident exit per (grid row, sample); final exit forced.
-
-        ``threshold_matrix`` has shape ``(G, num_exits)``; the result is
-        ``(G, N)`` int64.  This is exactly the
-        :class:`~repro.core.cascade.CascadeRouter` rule — a sample leaves at
-        the earliest exit with ``entropy <= threshold`` and the last exit
-        claims whatever remains — evaluated as an argmax over a boolean
-        mask instead of a per-tier loop.
-        """
-        confident = self.entropies[None, :, :] <= threshold_matrix[:, :, None]
-        confident[:, -1, :] = True
-        return np.argmax(confident, axis=1).astype(np.int64)
-
     # ------------------------------------------------------------------ #
     def route(self, thresholds: Thresholds) -> InferenceResult:
         """Replay cascade routing for one threshold setting — no model call.
 
-        Byte-identical to
-        ``StagedInferenceEngine(model, thresholds, batch_size).run(dataset)``
-        at the capture's ``compile`` setting: predictions, exit indices and
-        entropies match element for element.
+        Predictions, exit indices and entropies match element for element
+        what the single-tier serving fabric answers for the same samples at
+        the capture's batch size, ``compile`` and ``precision``.
         """
         values = self._normalized(thresholds)
-        exit_indices = self._first_exits(values[None, :])[0]
+        exit_indices = first_exits(self.entropies, values[None, :])[0]
         sample_axis = np.arange(self.num_samples)
         return InferenceResult(
             predictions=self.predictions[exit_indices, sample_axis],
             exit_indices=exit_indices,
             exit_names=list(self.exit_names),
             entropies=self.entropies[exit_indices, sample_axis],
-            # Copies, not views: the engine returned fresh arrays, and a
-            # caller mutating its result must not corrupt this cache.
+            # Copies, not views: a caller mutating its result must not
+            # corrupt this cache.
             exit_predictions={
                 name: self.predictions[index].copy()
                 for index, name in enumerate(self.exit_names)
@@ -307,18 +297,18 @@ class ExitOracle:
         """Cascade metrics for every (broadcast) threshold of a grid at once.
 
         Each grid value is broadcast across the non-final exits exactly as a
-        scalar threshold passed to the engine would be; per-point results are
-        identical to running the engine per threshold, but the whole grid
-        costs ``O(num_exits x N)`` numpy per point and zero forwards.
+        scalar threshold passed to :meth:`route` would be; per-point results
+        are identical to routing each threshold on its own, but the whole
+        grid costs ``O(num_exits x N)`` numpy per point and zero forwards.
         """
         targets = self._require_targets(targets)
         grid_values = np.array([float(value) for value in grid], dtype=np.float64)
         matrix = np.stack([self._normalized(float(v)) for v in grid_values])
-        first_exits = self._first_exits(matrix)  # (G, N)
-        chosen = self.predictions[first_exits, np.arange(self.num_samples)[None, :]]
+        exits = first_exits(self.entropies, matrix)  # (G, N)
+        chosen = self.predictions[exits, np.arange(self.num_samples)[None, :]]
         overall = (chosen == targets[None, :]).mean(axis=1) if self.num_samples else np.zeros(len(grid_values))
         exit_fractions = np.stack(
-            [(first_exits == index).mean(axis=1) if self.num_samples else np.zeros(len(grid_values))
+            [(exits == index).mean(axis=1) if self.num_samples else np.zeros(len(grid_values))
              for index in range(self.num_exits)],
             axis=1,
         )

@@ -1,17 +1,18 @@
 """Experiment S3 — compiled inference fast path vs the eager forward.
 
-The serving stack (PR 1-2) is forward-pass-bound: every micro-batch runs
-``ExitCascade.run_model`` through the autograd :class:`~repro.nn.tensor.Tensor`
-stack.  This experiment measures the :mod:`repro.compile` inference plans —
-BatchNorm folding, conv/activation fusion, pre-packed binarized weights and
-a reused buffer arena — against the eager path on the same trained DDNN,
-across serving-relevant batch sizes and across the compiled *precision
-modes* (``float64`` exact, ``float32`` tolerance, ``bitpacked`` XNOR
-binary blocks).
+Offline inference is forward-pass-bound: the eager path runs every batch
+through the autograd :class:`~repro.nn.tensor.Tensor` stack.  This
+experiment times the one offline forward-and-route path,
+``ExitOracle.capture(...).route(...)``, on the :mod:`repro.compile`
+inference plans — BatchNorm folding, conv/activation fusion, pre-packed
+binarized weights and a reused buffer arena — against the eager path on
+the same trained DDNN, across serving-relevant batch sizes and across the
+compiled *precision modes* (``float64`` exact, ``float32`` tolerance,
+``bitpacked`` XNOR binary blocks).
 
-For each (batch size, mode) it reports wall time, samples/second, the
-speedup over eager and the routing fidelity, and verifies each mode's
-equivalence guarantee up front via
+For each (path, batch size) — eager, or compiled in one mode — it reports
+wall time, samples/second, the speedup over eager and the routing
+fidelity, and verifies each mode's equivalence guarantee up front via
 :func:`~repro.compile.verify_compiled`.  Two headline numbers are asserted
 at run time:
 
@@ -38,8 +39,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..compile import PRECISIONS, compile_plan, verify_compiled
-from ..core.cascade import ExitCascade
+from ..compile import PRECISIONS, compile_plan, compiled_plan_for, verify_compiled
+from ..core.oracle import ExitOracle
 from .results import ExperimentResult
 from .runner import ExperimentScale, default_scale, get_dataset, get_trained_ddnn
 
@@ -134,18 +135,12 @@ def run_compiled_forward(
     _, test_set = get_dataset(scale)
     views = np.concatenate([test_set.images] * repeats, axis=0)
 
-    cascades = {
-        mode: ExitCascade.for_model(model, threshold, precision=mode)
-        for mode in precisions
-    }
-    base_cascade = next(iter(cascades.values()))
-
     # Each mode's numerical guarantee, checked up front on a real batch
     # (against the same cached plan the timed runs use).
     probe = test_set.images[: min(64, len(test_set))]
     max_logit_diff = {
-        mode: verify_compiled(model, cascade.compiled_for(model), probe)
-        for mode, cascade in cascades.items()
+        mode: verify_compiled(model, compiled_plan_for(model, mode), probe)
+        for mode in precisions
     }
 
     result = ExperimentResult(
@@ -186,14 +181,17 @@ def run_compiled_forward(
         paths = ["eager"] + [f"compiled:{mode}" for mode in precisions]
         for path in paths:
             mode = path.split(":", 1)[1] if ":" in path else None
-            cascade = base_cascade if mode is None else cascades[mode]
             wall = float("inf")
             routed = None
             for _ in range(timing_rounds):
                 started = time.perf_counter()
-                routed = cascade.run_model(
-                    model, views, batch_size=batch_size, compile=(mode is not None)
-                )
+                routed = ExitOracle.capture(
+                    model,
+                    views,
+                    batch_size=batch_size,
+                    compile=mode is not None,
+                    precision=mode or "float64",
+                ).route(threshold)
                 wall = min(wall, time.perf_counter() - started)
             timings[path] = wall
             routings[path] = routed

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..core.cascade import ExitCascade
+from ..compile.cache import compiled_plan_for
 from ..hierarchy.partition import (
     DEFAULT_EDGE_LINK,
     DEFAULT_LOCAL_LINK,
@@ -118,10 +118,7 @@ def run_distributed_serving(
     # recorded in the metadata, swapped into the rows with calibrate=True.
     calibration_batch = max(2, min(max_batch_size, len(test_set)))
     measured = ServiceModel.from_plan_timings(
-        model,
-        ExitCascade.for_model(model, threshold),
-        test_set.images[0],
-        batch_size=calibration_batch,
+        compiled_plan_for(model), test_set.images[0], batch_size=calibration_batch
     )
     device_service = measured if calibrate else DEVICE_SERVICE
     upper_service = (

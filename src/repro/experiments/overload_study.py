@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..core.cascade import ExitCascade
+from ..compile.cache import compiled_plan_for
 from ..serving import (
     BatchingPolicy,
     DistributedServingFabric,
@@ -159,17 +159,12 @@ def run_overload_study(
         # Real wall-clock calibration of both forward paths on this machine:
         # the end-to-end capacity lift the compiled path buys the server.
         calibration_batch = max(2, min(32, len(test_set)))
+        model.eval()
         eager_model = ServiceModel.measure(
-            model,
-            ExitCascade.for_model(model, threshold),
-            test_set.images[0],
-            batch_size=calibration_batch,
+            model, test_set.images[0], batch_size=calibration_batch
         )
         compiled_model = ServiceModel.measure(
-            model,
-            ExitCascade.for_model(model, threshold, compile=True),
-            test_set.images[0],
-            batch_size=calibration_batch,
+            compiled_plan_for(model), test_set.images[0], batch_size=calibration_batch
         )
         calibration = {
             "measured_eager_batch_ms": 1e3 * eager_model.batch_time_s(max_batch_size),

@@ -36,7 +36,8 @@ REFERENCE_GRID = "table2_8pt"
 
 
 def _eager_sweep(model, test_set, thresholds: Sequence[float]):
-    """The seed per-threshold pattern: one fresh eager engine per point."""
+    """The per-threshold pattern: one fresh eager engine (an eager capture
+    plus one :meth:`~repro.core.oracle.ExitOracle.route`) per point."""
     rows = []
     for threshold in thresholds:
         engine = StagedInferenceEngine(model, float(threshold))
@@ -105,13 +106,15 @@ def run_sweep_fastpath(
         eager_s, eager_rows = _best_time(lambda: _eager_sweep(model, test_set, thresholds), timing_rounds)
         oracle_s, oracle_rows = _best_time(lambda: _oracle_sweep(model, test_set, thresholds), timing_rounds)
 
-        # Correctness gate, on the *same* numeric path as the eager loop: an
-        # eager-captured oracle must reproduce the per-threshold engine rows
-        # bit for bit (this is the vectorized-routing guarantee and can never
-        # be timing- or rounding-flaky).  The compiled capture that was timed
-        # above is compared informationally — its logits carry float-rounding
-        # differences from BN folding, so a borderline sample could in
-        # principle flip a grid point without the fast path being wrong.
+        # Correctness gate, on the *same* numeric path as the eager loop:
+        # each engine run is an eager capture plus a per-point ``route``, so
+        # this compares per-point ``route`` with the vectorized ``sweep`` of
+        # an eager capture, bit for bit (the vectorized-routing guarantee;
+        # it can never be timing- or rounding-flaky).  The compiled capture
+        # that was timed above is compared informationally — its logits
+        # carry float-rounding differences from BN folding, so a borderline
+        # sample could in principle flip a grid point without the fast path
+        # being wrong.
         eager_oracle_rows = _oracle_sweep(model, test_set, thresholds, compile=False)
         for eager_row, oracle_row in zip(eager_rows, eager_oracle_rows):
             if not np.allclose(eager_row, oracle_row, rtol=0.0, atol=0.0):

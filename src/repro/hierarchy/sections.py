@@ -467,7 +467,8 @@ class CascadeSection(TierSection):
     ``process`` runs the full DDNN forward on raw multi-view batches —
     eager, or the worker's compiled bundle — and returns every exit's
     logits, so a one-tier fabric routes each row to its earliest confident
-    exit exactly as :meth:`~repro.core.cascade.ExitCascade.run_model` does.
+    exit exactly as the offline :meth:`~repro.core.oracle.ExitOracle.route`
+    does on a capture at the same batch size.
     Nothing crosses a link: no bytes and no transfer delay are charged.
     The worker is busy for the forward's measured wall-clock time; pass the
     fabric a :class:`~repro.serving.loadgen.ServiceModel` for a

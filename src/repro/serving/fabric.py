@@ -32,10 +32,13 @@ becomes a genuinely concurrent server whose throughput is a wall-clock
 number.  Exit decisions are byte-identical across backends; only timing
 (and, for stochastic fault plans, the order of RNG draws) differs.
 
-Exit decisions are byte-identical to the monolithic single-loop baseline
-(:meth:`~repro.core.cascade.ExitCascade.run_model`) for any worker count
-and link configuration — workers and links change *when* things happen,
-never *what* is computed (covered by tests).  A single inference server is
+Exit decisions are byte-identical to the offline cascade
+(:meth:`ExitOracle.capture(...).route(...) <repro.core.oracle.ExitOracle.route>`)
+for any worker count and link configuration — workers and links change
+*when* things happen, never *what* is computed (covered by tests).  The
+per-tier routing in ``_complete`` is the online implementation of the
+cascade rule, independent of the offline one, and the tests pin each
+against the other.  A single inference server is
 the one-tier case: :meth:`DistributedServingFabric.single_tier` runs the
 whole cascade on each worker through a
 :class:`~repro.hierarchy.sections.CascadeSection`.  The offline
@@ -58,6 +61,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..compile.cache import compiled_plan_for
 from ..core.cascade import ExitCascade, Thresholds
 from ..core.exits import ExitCriterion
 from ..datasets.mvmc import MVMCDataset
@@ -1107,10 +1111,11 @@ class DistributedServingFabric:
         """Answer a shed request from the first exit, bypassing the tiers.
 
         The sample is evaluated through the cascade's first exit directly
-        (compiled plan when the fabric compiles, eager otherwise) with no
-        hierarchy byte/latency accounting — a shed answer is produced at
-        the ingress, before the request ever enters the tier plane.  With ``max_entropy`` set the
-        answer is only delivered when its entropy clears the bound;
+        (the cached plan at tier 0's precision when the fabric compiles,
+        eager otherwise) with no hierarchy byte/latency accounting — a shed
+        answer is produced at the ingress, before the request ever enters
+        the tier plane.  With ``max_entropy`` set the answer is only
+        delivered when its entropy clears the bound;
         ``None`` is returned otherwise so the caller can queue the request.
         With ``degraded=True`` the same first-exit evaluation serves an
         offload failover whose journey never cleared an exit (the origin
@@ -1118,7 +1123,7 @@ class DistributedServingFabric:
         """
         exit_index = self._require_first_exit()
         if self.compile_enabled:
-            output = self.cascade.compiled_for(self.model)(request.views[None])
+            output = compiled_plan_for(self.model, self.precisions[0])(request.views[None])
         else:
             with no_grad():
                 output = self.model(request.views[None])

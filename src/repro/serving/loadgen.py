@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..core.cascade import ExitCascade
+from ..nn.tensor import no_grad
 
 __all__ = [
     "ArrivalProcess",
@@ -201,8 +201,10 @@ class ServiceModel:
 
     The affine shape is what micro-batching exploits (amortising the fixed
     overhead over ``n`` samples) and is what the real NumPy forward pass
-    exhibits; :meth:`measure` calibrates the two coefficients from real
-    forward timings when machine-specific numbers are wanted.
+    exhibits; when machine-specific numbers are wanted, :meth:`measure`
+    calibrates the two coefficients from wall-clock timings of a forward
+    (the eager model or its compiled plan) and :meth:`from_plan_timings`
+    from a compiled plan's per-op timings.
     """
 
     batch_overhead_s: float = 0.002
@@ -224,78 +226,78 @@ class ServiceModel:
         return batch_size / self.batch_time_s(batch_size)
 
     @classmethod
+    def _fit(cls, seconds_at, batch_size: int) -> "ServiceModel":
+        """Fit the two coefficients to ``seconds_at(1)`` and ``seconds_at(batch_size)``."""
+        if batch_size < 2:
+            raise ValueError("batch_size must be >= 2 to fit two coefficients")
+        t_one = seconds_at(1)
+        t_full = seconds_at(batch_size)
+        per_sample = max((t_full - t_one) / (batch_size - 1), 1e-9)
+        overhead = max(t_one - per_sample, 0.0)
+        return cls(batch_overhead_s=overhead, per_sample_s=per_sample)
+
+    @classmethod
     def measure(
         cls,
-        model,
-        cascade: ExitCascade,
+        forward,
         views: np.ndarray,
         batch_size: int = 32,
         repeats: int = 3,
     ) -> "ServiceModel":
         """Calibrate from real wall-clock forwards at sizes 1 and ``batch_size``.
 
-        Each forward routes ``views`` through ``cascade`` on ``model``
-        (compiled when the cascade compiles), exactly what one worker of a
-        single-tier fabric computes per batch.
+        ``forward`` is what one worker of a single-tier fabric runs per
+        batch: the eager model (in eval mode) or its compiled plan.  Each
+        call runs under ``no_grad``.
         """
-        if batch_size < 2:
-            raise ValueError("batch_size must be >= 2 to fit two coefficients")
-        views = np.asarray(views)
 
-        def _time(n: int) -> float:
-            batch = np.repeat(views[None], n, axis=0) if views.ndim == 4 else views[:n]
+        def seconds_at(n: int) -> float:
+            batch = _calibration_batch(views, n)
             best = math.inf
             for _ in range(repeats):
                 started = time.perf_counter()
-                cascade.run_model(model, batch, batch_size=n)
+                with no_grad():
+                    forward(batch)
                 best = min(best, time.perf_counter() - started)
             return best
 
-        t_one = _time(1)
-        t_full = _time(batch_size)
-        per_sample = max((t_full - t_one) / (batch_size - 1), 1e-9)
-        overhead = max(t_one - per_sample, 0.0)
-        return cls(batch_overhead_s=overhead, per_sample_s=per_sample)
+        return cls._fit(seconds_at, batch_size)
 
     @classmethod
     def from_plan_timings(
         cls,
-        model,
-        cascade: ExitCascade,
+        plan,
         views: np.ndarray,
         batch_size: int = 32,
         repeats: int = 3,
     ) -> "ServiceModel":
-        """Calibrate from the compiled plan's per-op timing hook.
+        """Calibrate from a compiled plan's per-op timing hook.
 
         Instead of timing whole wall-clock forwards (:meth:`measure`), this
-        enables :meth:`repro.compile.CompiledDDNN.enable_timing`, runs
-        ``cascade`` compiled on ``model`` at batch sizes 1 and
-        ``batch_size``, and fits the affine model to the summed per-op
-        times — pure kernel time, free of Python dispatch and routing
-        noise.  The per-op breakdown stays available on the compiled plan
-        afterwards (``cascade.compiled_for(model).op_timings()``).
+        enables :meth:`repro.compile.CompiledDDNN.enable_timing` on
+        ``plan``, runs it at batch sizes 1 and ``batch_size``, and fits the
+        affine model to the summed per-op times — pure kernel time, free of
+        Python dispatch noise.  The per-op breakdown stays available on the
+        plan afterwards (``plan.op_timings()``).
         """
-        if batch_size < 2:
-            raise ValueError("batch_size must be >= 2 to fit two coefficients")
-        views = np.asarray(views)
-        compiled = cascade.compiled_for(model)
-        compiled.enable_timing()
+
+        def seconds_at(n: int) -> float:
+            batch = _calibration_batch(views, n)
+            best = math.inf
+            for _ in range(repeats):
+                plan.reset_timing()
+                plan(batch)
+                best = min(best, plan.total_time_s)
+            return best
+
+        plan.enable_timing()
         try:
-
-            def _plan_time(n: int) -> float:
-                batch = np.repeat(views[None], n, axis=0) if views.ndim == 4 else views[:n]
-                best = math.inf
-                for _ in range(repeats):
-                    compiled.reset_timing()
-                    cascade.run_model(model, batch, batch_size=n, compile=True)
-                    best = min(best, compiled.total_time_s)
-                return best
-
-            t_one = _plan_time(1)
-            t_full = _plan_time(batch_size)
+            return cls._fit(seconds_at, batch_size)
         finally:
-            compiled.disable_timing()
-        per_sample = max((t_full - t_one) / (batch_size - 1), 1e-9)
-        overhead = max(t_one - per_sample, 0.0)
-        return cls(batch_overhead_s=overhead, per_sample_s=per_sample)
+            plan.disable_timing()
+
+
+def _calibration_batch(views: np.ndarray, n: int) -> np.ndarray:
+    """``n`` copies of one sample, or the first ``n`` samples of a stack."""
+    views = np.asarray(views)
+    return np.repeat(views[None], n, axis=0) if views.ndim == 4 else views[:n]

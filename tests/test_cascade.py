@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core import StagedInferenceEngine, build_ddnn, normalize_thresholds
-from repro.core.cascade import CascadeRouter, ExitCascade, build_exit_criteria
+from repro.core.cascade import ExitCascade, build_exit_criteria
 from repro.hierarchy import HierarchyRuntime, partition_ddnn
+from repro.serving import BatchingPolicy, DistributedServingFabric
 
 
 class TestNormalizeThresholds:
@@ -74,53 +75,6 @@ class TestNormalizeThresholds:
         assert normalize_thresholds(np.int64(0), 2) == [0.0, 1.0]
 
 
-class TestCascadeRouter:
-    def _cascade(self, thresholds=(0.5,)):
-        return ExitCascade(list(thresholds), ["local", "cloud"])
-
-    def test_confident_samples_exit_early(self):
-        router = self._cascade().router(3)
-        confident = np.array([[10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.1, 0.0, 0.05]])
-        outcome = router.offer(confident)
-        # The two peaked rows exit locally; the flat row continues.
-        assert outcome.exit_name == "local"
-        assert outcome.newly_assigned.tolist() == [True, True, False]
-        assert router.has_remaining()
-        final = router.offer(np.array([[0.0, 0.0, 1.0]] * 3))
-        assert final.newly_assigned.tolist() == [False, False, True]
-        assert not router.has_remaining()
-        assert router.exit_indices.tolist() == [0, 0, 1]
-        assert router.predictions.tolist() == [0, 1, 2]
-
-    def test_final_exit_takes_everything_regardless_of_entropy(self):
-        cascade = ExitCascade(0.0, ["local", "cloud"])
-        router = cascade.router(2)
-        router.offer(np.array([[5.0, 0.0], [0.0, 5.0]]))  # threshold 0: nobody exits
-        assert router.remaining.all()
-        flat = np.zeros((2, 2))  # maximal entropy, still classified at the end
-        router.offer(flat)
-        assert not router.has_remaining()
-        assert router.exit_indices.tolist() == [1, 1]
-
-    def test_batch_size_mismatch_rejected(self):
-        router = self._cascade().router(4)
-        with pytest.raises(ValueError):
-            router.offer(np.zeros((3, 3)))
-
-    def test_exit_index_out_of_range_rejected(self):
-        router = self._cascade().router(1)
-        with pytest.raises(IndexError):
-            router.offer(np.zeros((1, 3)), exit_index=5)
-
-    def test_skipping_exhausted_tiers_is_valid(self):
-        cascade = ExitCascade([1.0, 0.5], ["local", "edge", "cloud"])
-        router = cascade.router(2)
-        router.offer(np.array([[9.0, 0.0], [0.0, 9.0]]))  # threshold 1.0: all exit
-        assert not router.has_remaining()
-        # Upper tiers are simply never offered; results are already complete.
-        assert router.exit_indices.tolist() == [0, 0]
-
-
 class TestCascadeSharedByBothEngines:
     def test_engines_share_one_cascade_implementation(self, trained_ddnn):
         engine = StagedInferenceEngine(trained_ddnn, 0.8)
@@ -150,8 +104,6 @@ class TestCascadeSharedByBothEngines:
     def test_invalid_threshold_values_raise_in_all_three_consumers(self, trained_ddnn, bad):
         """bool / NaN / negative thresholds must fail loudly in every cascade
         consumer: the offline engine, the hierarchy runtime and the server."""
-        from repro.serving import DistributedServingFabric
-
         with pytest.raises(ValueError):
             StagedInferenceEngine(trained_ddnn, bad)
         with pytest.raises(ValueError):
@@ -159,14 +111,18 @@ class TestCascadeSharedByBothEngines:
         with pytest.raises(ValueError):
             DistributedServingFabric.single_tier(trained_ddnn, bad)
 
-    def test_run_model_matches_engine_run(self, trained_ddnn, tiny_test):
-        engine = StagedInferenceEngine(trained_ddnn, 0.8)
-        result = engine.run(tiny_test)
-        routed = engine.cascade.run_model(trained_ddnn, tiny_test.images)
-        np.testing.assert_array_equal(result.predictions, routed.predictions)
-        np.testing.assert_array_equal(result.exit_indices, routed.exit_indices)
-        np.testing.assert_array_equal(result.entropies, routed.entropies)
-        assert routed.exit_names_per_sample == [
+    def test_engine_run_matches_single_tier_fabric(self, trained_ddnn, tiny_test):
+        """The offline engine answers what the online one-tier fabric answers
+        when it replays the dataset in the engine's batches."""
+        result = StagedInferenceEngine(trained_ddnn, 0.8).run(tiny_test)
+        server = DistributedServingFabric.single_tier(
+            trained_ddnn, 0.8, batching=BatchingPolicy(max_batch_size=64, max_wait_s=0.0)
+        )
+        responses = server.serve_dataset(tiny_test)
+        np.testing.assert_array_equal(result.predictions, [r.prediction for r in responses])
+        np.testing.assert_array_equal(result.exit_indices, [r.exit_index for r in responses])
+        np.testing.assert_array_equal(result.entropies, [r.entropy for r in responses])
+        assert [r.exit_name for r in responses] == [
             result.exit_names[i] for i in result.exit_indices
         ]
 

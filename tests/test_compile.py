@@ -10,12 +10,14 @@ from repro.compile import (
     CompiledPlan,
     compile_ddnn,
     compile_plan,
+    compiled_plan_for,
+    invalidate_plan,
     verify_compiled,
 )
-from repro.core.cascade import ExitCascade
 from repro.core.config import DDNNTopology
 from repro.core.ddnn import build_ddnn
 from repro.core.inference import StagedInferenceEngine
+from repro.core.oracle import ExitOracle
 from repro.nn.blocks import ConvPBlock, FCBlock
 from repro.nn.layers import (
     AvgPool2d,
@@ -203,24 +205,23 @@ def test_compiled_ddnn_mixed_precision_cloud():
     assert verify_compiled(model, compiled, views) < 1e-6
 
 
-def test_routing_decisions_byte_identical_through_cascade_router():
+def test_routing_decisions_byte_identical_through_oracle():
     model, views = _warmed_model()
-    cascade = ExitCascade.for_model(model, [0.5, 1.0])
-    eager = cascade.run_model(model, views, batch_size=4, compile=False)
-    fast = cascade.run_model(model, views, batch_size=4, compile=True)
+    eager = ExitOracle.capture(model, views, batch_size=4, compile=False).route([0.5, 1.0])
+    fast = ExitOracle.capture(model, views, batch_size=4, compile=True).route([0.5, 1.0])
     np.testing.assert_array_equal(eager.predictions, fast.predictions)
     np.testing.assert_array_equal(eager.exit_indices, fast.exit_indices)
-    for name in cascade.exit_names:
+    for name in eager.exit_names:
         np.testing.assert_array_equal(eager.exit_predictions[name], fast.exit_predictions[name])
 
 
 @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
 def test_routing_identical_across_thresholds_and_batch_sizes(threshold):
     model, views = _warmed_model()
-    cascade = ExitCascade.for_model(model, threshold)
     for batch_size in (1, 3, 16):
-        eager = cascade.run_model(model, views, batch_size=batch_size, compile=False)
-        fast = cascade.run_model(model, views, batch_size=batch_size, compile=True)
+        eager = ExitOracle.capture(model, views, batch_size=batch_size, compile=False)
+        fast = ExitOracle.capture(model, views, batch_size=batch_size, compile=True)
+        eager, fast = eager.route(threshold), fast.route(threshold)
         np.testing.assert_array_equal(eager.predictions, fast.predictions)
         np.testing.assert_array_equal(eager.exit_indices, fast.exit_indices)
         np.testing.assert_allclose(eager.entropies, fast.entropies, rtol=1e-9, atol=1e-12)
@@ -236,11 +237,10 @@ def test_staged_inference_engine_compile_knob():
 
 def test_compiled_plan_cache_and_invalidate():
     model, views = _warmed_model()
-    cascade = ExitCascade.for_model(model, 0.8, compile=True)
-    first = cascade.compiled_for(model)
-    assert cascade.compiled_for(model) is first
-    cascade.invalidate_compiled()
-    assert cascade.compiled_for(model) is not first
+    first = compiled_plan_for(model)
+    assert compiled_plan_for(model) is first
+    invalidate_plan(model)
+    assert compiled_plan_for(model) is not first
 
 
 def test_arena_keeps_buffers_per_batch_shape():
@@ -332,19 +332,15 @@ class TestPlanTiming:
         assert compiled.total_time_s == 0.0
 
     def test_service_model_calibration_from_plan_timings(self):
-        from repro.core.cascade import ExitCascade
         from repro.serving import ServiceModel
 
         model, views = _warmed_model()
-        cascade = ExitCascade.for_model(model, 0.8, compile=True)
-        service = ServiceModel.from_plan_timings(
-            model, cascade, views[0], batch_size=4, repeats=2
-        )
+        compiled = compiled_plan_for(model)
+        service = ServiceModel.from_plan_timings(compiled, views[0], batch_size=4, repeats=2)
         assert service.per_sample_s > 0.0
         assert service.batch_overhead_s >= 0.0
         assert service.batch_time_s(4) > service.batch_time_s(1)
         # Timing is switched back off afterwards.
-        compiled = cascade.compiled_for(model)
         before = compiled.total_time_s
         compiled(views)
         assert compiled.total_time_s == before

@@ -2,9 +2,9 @@
 
 Covers the three mode guarantees (float64 exact, float32 tolerance-with-
 routing-agreement, bitpacked bit-identical), the XNOR+popcount packed ops
-across conv geometries, oracle-vs-engine parity per mode, the
+across conv geometries, oracle-vs-serving-fabric parity per mode, the
 ``(model, precision)``-keyed plan cache, and precision validation in every
-consumer that grew the knob (cascade, engine, server, fabric, partition
+consumer that grew the knob (oracle, engine, server, fabric, partition
 plan, hierarchy runtime).
 """
 
@@ -25,7 +25,6 @@ from repro.compile import (
 )
 from repro.compile.cache import cached_plan_count
 from repro.compile.ops import PackedConvOp, PackedLinearOp
-from repro.core.cascade import ExitCascade
 from repro.core.inference import StagedInferenceEngine
 from repro.core.oracle import ExitOracle
 from repro.nn import BinaryActivation, BinaryConv2d, BinaryLinear
@@ -180,27 +179,60 @@ def _eager_exit_logits(model, dataset):
 # --------------------------------------------------------------------------- #
 # Oracle vs engine parity per mode
 # --------------------------------------------------------------------------- #
+def _served(model, dataset, compile=False, precision="float64"):
+    """The one-tier fabric replaying ``dataset`` in 64-sample batches (the
+    capture's default chunks)."""
+    from repro.serving import BatchingPolicy, DistributedServingFabric
+
+    server = DistributedServingFabric.single_tier(
+        model,
+        0.8,
+        compile=compile,
+        precision=precision,
+        batching=BatchingPolicy(max_batch_size=64, max_wait_s=0.0),
+    )
+    return server.serve_dataset(dataset)
+
+
 class TestOracleEngineParity:
     @pytest.mark.parametrize("mode", PRECISIONS)
     def test_oracle_routes_like_engine(self, trained_ddnn, tiny_test, mode):
-        threshold = 0.8
-        oracle = ExitOracle.capture(trained_ddnn, tiny_test, precision=mode)
-        routed = oracle.route(threshold)
-        engine = StagedInferenceEngine(
-            trained_ddnn, threshold, compile=True, precision=mode
-        )
-        result = engine.run(tiny_test)
-        np.testing.assert_array_equal(routed.predictions, result.predictions)
-        np.testing.assert_array_equal(routed.exit_indices, result.exit_indices)
+        """At every mode the offline oracle answers byte for byte what the
+        online one-tier fabric at that mode answers."""
+        routed = ExitOracle.capture(trained_ddnn, tiny_test, precision=mode).route(0.8)
+        responses = _served(trained_ddnn, tiny_test, compile=True, precision=mode)
+        np.testing.assert_array_equal(routed.predictions, [r.prediction for r in responses])
+        np.testing.assert_array_equal(routed.exit_indices, [r.exit_index for r in responses])
+        np.testing.assert_array_equal(routed.entropies, [r.entropy for r in responses])
 
     def test_exact_modes_route_identically_to_eager(self, trained_ddnn, tiny_test):
-        eager = StagedInferenceEngine(trained_ddnn, 0.8).run(tiny_test)
+        eager = _served(trained_ddnn, tiny_test)
         for mode in ("float64", "bitpacked"):
-            compiled = StagedInferenceEngine(
-                trained_ddnn, 0.8, compile=True, precision=mode
-            ).run(tiny_test)
-            np.testing.assert_array_equal(eager.predictions, compiled.predictions)
-            np.testing.assert_array_equal(eager.exit_indices, compiled.exit_indices)
+            compiled = ExitOracle.capture(trained_ddnn, tiny_test, precision=mode).route(0.8)
+            np.testing.assert_array_equal([r.prediction for r in eager], compiled.predictions)
+            np.testing.assert_array_equal([r.exit_index for r in eager], compiled.exit_indices)
+
+    def test_shed_answers_use_the_first_tier_precision(self, trained_ddnn, tiny_test):
+        """Regression: a float32 fabric's shed answers came from a float64
+        plan.  They must equal a float32 capture's first exit exactly."""
+        from repro.serving import DistributedServingFabric, ShedToLocalExit
+
+        server = DistributedServingFabric.single_tier(
+            trained_ddnn,
+            0.8,
+            compile=True,
+            precision="float32",
+            capacity=2,
+            admission=ShedToLocalExit(),
+        )
+        row_of = {rid: row for row, rid in enumerate(server.submit_many(list(tiny_test.images)))}
+        shed = [r for r in server.run_until_idle(drain=True) if r.shed]
+        assert shed
+        oracle = ExitOracle.capture(trained_ddnn, tiny_test, batch_size=1, precision="float32")
+        rows = [row_of[r.request_id] for r in shed]
+        assert [r.exit_index for r in shed] == [0] * len(shed)
+        np.testing.assert_array_equal([r.prediction for r in shed], oracle.predictions[0, rows])
+        np.testing.assert_array_equal([r.entropy for r in shed], oracle.entropies[0, rows])
 
 
 # --------------------------------------------------------------------------- #
@@ -232,9 +264,9 @@ class TestPlanCachePerPrecision:
 # Consumer validation: every knob rejects bad modes loudly
 # --------------------------------------------------------------------------- #
 class TestConsumerValidation:
-    def test_cascade_and_engine_reject_unknown_mode(self, trained_ddnn):
+    def test_cascade_and_engine_reject_unknown_mode(self, trained_ddnn, tiny_test):
         with pytest.raises(ValueError, match="unknown precision"):
-            ExitCascade.for_model(trained_ddnn, 0.8, precision="tf32")
+            ExitOracle.capture(trained_ddnn, tiny_test, precision="tf32")
         with pytest.raises(ValueError, match="unknown precision"):
             StagedInferenceEngine(trained_ddnn, 0.8, compile=True, precision="tf32")
 

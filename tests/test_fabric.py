@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import DDNNConfig, DDNNTopology, DDNNTrainer, TrainingConfig, build_ddnn
-from repro.core.cascade import ExitCascade
+from repro.core.oracle import ExitOracle
 from repro.hierarchy import LinkSpec, partition_ddnn
 from repro.hierarchy.partition import DEFAULT_LOCAL_LINK, DEFAULT_UPLINK
 from repro.serving import (
@@ -73,10 +73,8 @@ class TestEventLoop:
 class TestFabricEquivalence:
     def test_two_tier_multiworker_matches_eager_baseline(self, trained_ddnn, tiny_test):
         """Acceptance: >=2 tiers, N>=2 workers, link delays on — exit
-        decisions byte-identical to the monolithic single-loop baseline."""
-        baseline = ExitCascade.for_model(trained_ddnn, 0.8).run_model(
-            trained_ddnn, tiny_test.images
-        )
+        decisions byte-identical to the offline cascade."""
+        baseline = ExitOracle.capture(trained_ddnn, tiny_test, compile=False).route(0.8)
         fabric = DistributedServingFabric(
             partition_ddnn(trained_ddnn),
             0.8,
@@ -104,9 +102,7 @@ class TestFabricEquivalence:
             np.testing.assert_array_equal(one, many)
 
     def test_compiled_per_worker_plans_match_eager(self, trained_ddnn, tiny_test):
-        baseline = ExitCascade.for_model(trained_ddnn, 0.8).run_model(
-            trained_ddnn, tiny_test.images
-        )
+        baseline = ExitOracle.capture(trained_ddnn, tiny_test, compile=False).route(0.8)
         fabric = DistributedServingFabric(
             partition_ddnn(trained_ddnn),
             0.8,
@@ -136,9 +132,7 @@ class TestFabricEquivalence:
         model = build_ddnn(config)
         DDNNTrainer(model, TrainingConfig(epochs=2, batch_size=32, seed=0)).fit(tiny_train)
         model.eval()
-        baseline = ExitCascade.for_model(model, [0.7, 0.8]).run_model(
-            model, tiny_test.images
-        )
+        baseline = ExitOracle.capture(model, tiny_test, compile=False).route([0.7, 0.8])
         fabric = DistributedServingFabric(
             partition_ddnn(model),
             [0.7, 0.8],
@@ -154,9 +148,7 @@ class TestFabricEquivalence:
         """The one-tier fabric (every worker runs the whole cascade) routes
         and predicts exactly like the three-tier fabric and the offline
         cascade, entropies included."""
-        baseline = ExitCascade.for_model(trained_ddnn, 0.8).run_model(
-            trained_ddnn, tiny_test.images
-        )
+        baseline = ExitOracle.capture(trained_ddnn, tiny_test, compile=False).route(0.8)
         server = DistributedServingFabric.single_tier(trained_ddnn, 0.8)
         server_responses = server.serve_dataset(tiny_test)
         assert server.tier_names == ["cascade"]
@@ -301,9 +293,7 @@ class TestOpenLoopAndAdaptive:
         assert adaptive.p95_latency_s < plain.p95_latency_s
 
     def test_adaptive_without_pressure_changes_nothing(self, trained_ddnn, tiny_test):
-        baseline = ExitCascade.for_model(trained_ddnn, 0.8).run_model(
-            trained_ddnn, tiny_test.images
-        )
+        baseline = ExitOracle.capture(trained_ddnn, tiny_test, compile=False).route(0.8)
         fabric = DistributedServingFabric(
             partition_ddnn(trained_ddnn),
             0.8,

@@ -1,6 +1,6 @@
 """Regression: inference-time forwards must never record an autograd graph.
 
-Every serving/inference entry point — ``ExitCascade.run_model``,
+Every serving/inference entry point — ``ExitOracle.capture``,
 ``StagedInferenceEngine``, the single-tier serving fabric (and its
 shed-to-local fast path), ``HierarchyRuntime`` and the baselines — must run
 its forwards under ``no_grad()``.  A graph recorded at inference time leaks
@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from repro.baselines.individual import IndividualDeviceModel
-from repro.core.cascade import ExitCascade
+from repro.compile.cache import compiled_plan_for
 from repro.core.ddnn import DDNN, build_ddnn
 from repro.core.inference import StagedInferenceEngine
+from repro.core.oracle import ExitOracle
 from repro.hierarchy.partition import partition_ddnn
 from repro.hierarchy.runtime import HierarchyRuntime
 from repro.nn.tensor import Tensor, is_grad_enabled
@@ -63,8 +64,8 @@ def _assert_graph_free(records):
             assert logits._backward is None
 
 
-def test_run_model_records_no_graph(model, views, forward_spy):
-    ExitCascade.for_model(model, 0.8).run_model(model, views, batch_size=3)
+def test_oracle_capture_records_no_graph(model, views, forward_spy):
+    ExitOracle.capture(model, views, batch_size=3, compile=False)
     _assert_graph_free(forward_spy)
 
 
@@ -146,7 +147,7 @@ def test_compiled_serving_never_touches_tensors(model, views, monkeypatch):
         original_init(self, data, requires_grad=requires_grad, name=name)
 
     # Compile (and warm the plan) first, then watch the serving loop.
-    server.cascade.compiled_for(model)(views[:1])
+    compiled_plan_for(model)(views[:1])
     monkeypatch.setattr(Tensor, "__init__", spy)
     server.submit_many(list(views), client_id="spy")
     server.run_until_idle(drain=True)

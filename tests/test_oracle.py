@@ -1,13 +1,14 @@
 """Equivalence suite for the forward-once evaluation plane (``ExitOracle``).
 
-The oracle's contract is that it is a pure optimisation: every quantity it
-answers from its logit cache — routing, sweeps, accuracy reports, exit-rate
-calibration — must equal what the per-threshold
-:class:`~repro.core.inference.StagedInferenceEngine` / grid-search code
-computed with repeated forwards.  Routing equality is *byte*-equality
-(predictions, exit indices and entropies), across broadcast and per-exit
-thresholds, degraded (failed-device) datasets and three-exit edge
-topologies.
+The oracle is the one offline forward-and-route path.  Its routing is
+pinned against the independent online implementation of the cascade rule:
+the one-tier :class:`~repro.serving.fabric.DistributedServingFabric`
+replaying the same dataset in the capture's batches.  Routing equality is
+*byte*-equality (predictions, exit indices and entropies), across
+broadcast and per-exit thresholds, degraded (failed-device) datasets and
+three-exit edge topologies.  Sweeps, accuracy reports and exit-rate
+calibration must equal what per-threshold routing and the grid-search
+code compute.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from repro.core import (
     DDNNConfig,
     DDNNTopology,
     DDNNTrainer,
-    ExitCascade,
     ExitOracle,
     StagedInferenceEngine,
     TrainingConfig,
@@ -33,6 +33,7 @@ from repro.core import (
     search_threshold,
     threshold_for_exit_rate,
 )
+from repro.serving import BatchingPolicy, DistributedServingFabric
 
 #: The paper's Table II grid plus the 21-point calibration grid used by the
 #: Figure 9 exit-rate search.
@@ -40,14 +41,31 @@ TABLE2_GRID = (0.1, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 CALIBRATION_GRID = tuple(np.round(np.arange(0.0, 1.0001, 0.05), 4))
 
 
-def assert_routing_identical(engine_result, oracle_result):
-    np.testing.assert_array_equal(engine_result.predictions, oracle_result.predictions)
-    np.testing.assert_array_equal(engine_result.exit_indices, oracle_result.exit_indices)
-    np.testing.assert_array_equal(engine_result.entropies, oracle_result.entropies)
-    assert engine_result.exit_names == oracle_result.exit_names
-    for name in engine_result.exit_names:
+def served(model, dataset, thresholds, compile=False, batch_size=64):
+    """The online one-tier fabric's answers, replaying ``dataset`` in
+    ``batch_size`` batches (the chunks a capture at that size forwards)."""
+    server = DistributedServingFabric.single_tier(
+        model,
+        thresholds,
+        compile=compile,
+        batching=BatchingPolicy(max_batch_size=batch_size, max_wait_s=0.0),
+    )
+    return server.serve_dataset(dataset)
+
+
+def assert_routing_identical(responses, oracle_result):
+    exit_indices = oracle_result.exit_indices
+    np.testing.assert_array_equal([r.prediction for r in responses], oracle_result.predictions)
+    np.testing.assert_array_equal([r.exit_index for r in responses], exit_indices)
+    np.testing.assert_array_equal([r.entropy for r in responses], oracle_result.entropies)
+    assert [r.exit_name for r in responses] == [
+        oracle_result.exit_names[i] for i in exit_indices
+    ]
+    # Each exit's prediction table agrees with the answers that exit gave.
+    for index, name in enumerate(oracle_result.exit_names):
+        taken = exit_indices == index
         np.testing.assert_array_equal(
-            engine_result.exit_predictions[name], oracle_result.exit_predictions[name]
+            oracle_result.exit_predictions[name][taken], oracle_result.predictions[taken]
         )
 
 
@@ -55,9 +73,9 @@ class TestRouteByteIdentity:
     @pytest.mark.parametrize("compile", [False, True], ids=["eager", "compiled"])
     def test_route_matches_engine_across_both_grids(self, trained_ddnn, tiny_test, compile):
         oracle = ExitOracle.capture(trained_ddnn, tiny_test, compile=compile)
-        for threshold in set(TABLE2_GRID) | set(CALIBRATION_GRID):
-            engine = StagedInferenceEngine(trained_ddnn, float(threshold), compile=compile)
-            assert_routing_identical(engine.run(tiny_test), oracle.route(float(threshold)))
+        for threshold in sorted(set(TABLE2_GRID) | set(CALIBRATION_GRID)):
+            responses = served(trained_ddnn, tiny_test, float(threshold), compile=compile)
+            assert_routing_identical(responses, oracle.route(float(threshold)))
 
     @pytest.mark.parametrize("compile", [False, True], ids=["eager", "compiled"])
     def test_route_matches_engine_on_failed_device_sets(self, trained_ddnn, tiny_test, compile):
@@ -65,14 +83,14 @@ class TestRouteByteIdentity:
             degraded = tiny_test.with_failed_devices(failed)
             oracle = ExitOracle.capture(trained_ddnn, degraded, compile=compile)
             for threshold in TABLE2_GRID:
-                engine = StagedInferenceEngine(trained_ddnn, float(threshold), compile=compile)
-                assert_routing_identical(engine.run(degraded), oracle.route(float(threshold)))
+                responses = served(trained_ddnn, degraded, float(threshold), compile=compile)
+                assert_routing_identical(responses, oracle.route(float(threshold)))
 
     def test_route_matches_engine_per_exit_thresholds(self, trained_ddnn, tiny_test):
         oracle = ExitOracle.capture(trained_ddnn, tiny_test, compile=False)
         for thresholds in ([0.3, 0.9], [0.9, 0.1], [0.0, 0.0]):
-            engine = StagedInferenceEngine(trained_ddnn, thresholds)
-            assert_routing_identical(engine.run(tiny_test), oracle.route(thresholds))
+            responses = served(trained_ddnn, tiny_test, thresholds)
+            assert_routing_identical(responses, oracle.route(thresholds))
 
     def test_route_matches_engine_on_edge_topology(self, tiny_train, tiny_test):
         config = DDNNConfig(
@@ -89,8 +107,7 @@ class TestRouteByteIdentity:
         oracle = ExitOracle.capture(model, tiny_test, compile=False)
         assert oracle.exit_names == ["local", "edge", "cloud"]
         for thresholds in (0.8, [0.5, 0.7], [0.9, 0.2, 0.4]):
-            engine = StagedInferenceEngine(model, thresholds)
-            assert_routing_identical(engine.run(tiny_test), oracle.route(thresholds))
+            assert_routing_identical(served(model, tiny_test, thresholds), oracle.route(thresholds))
 
     def test_route_results_are_isolated_from_the_cache(self, trained_ddnn, tiny_test):
         """Mutating a returned result must not corrupt later oracle answers."""
@@ -106,10 +123,10 @@ class TestRouteByteIdentity:
         assert oracle.exit_accuracies() == expected_accuracies
 
     def test_batch_size_chunks_match_engine_batching(self, trained_ddnn, tiny_test):
-        """Capture must chunk like the engine so logits are byte-identical."""
+        """Capture chunks like the fabric's batches, so logits are byte-identical."""
         oracle = ExitOracle.capture(trained_ddnn, tiny_test, batch_size=5, compile=False)
-        engine = StagedInferenceEngine(trained_ddnn, 0.8, batch_size=5)
-        assert_routing_identical(engine.run(tiny_test), oracle.route(0.8))
+        responses = served(trained_ddnn, tiny_test, 0.8, batch_size=5)
+        assert_routing_identical(responses, oracle.route(0.8))
 
     def test_route_rejects_bad_thresholds(self, trained_ddnn, tiny_test):
         oracle = ExitOracle.capture(trained_ddnn, tiny_test, compile=False)
@@ -131,16 +148,20 @@ class TestRouteByteIdentity:
 
 class TestSweepAndReports:
     def test_sweep_equals_per_threshold_engine_loop(self, trained_ddnn, tiny_test):
+        """Every sweep point equals the online fabric served at that threshold."""
         oracle = ExitOracle.capture(trained_ddnn, tiny_test, compile=False)
         table = oracle.sweep(CALIBRATION_GRID)
         assert len(table) == len(CALIBRATION_GRID)
         for point in table.points():
-            engine = StagedInferenceEngine(trained_ddnn, point.threshold)
-            run = engine.run(tiny_test)
-            assert point.local_exit_fraction == run.local_exit_fraction
-            assert point.overall_accuracy == run.overall_accuracy(tiny_test.labels)
-            assert point.communication_bytes == engine.communication_bytes(run)
-            assert oracle.communication_bytes(run) == engine.communication_bytes(run)
+            responses = served(trained_ddnn, tiny_test, point.threshold)
+            local = np.mean([r.exit_index == 0 for r in responses])
+            accuracy = np.mean([r.prediction == r.target for r in responses])
+            assert point.local_exit_fraction == local
+            assert point.overall_accuracy == accuracy
+            assert point.communication_bytes == oracle.communication.per_device_bytes(local)
+            assert oracle.communication_bytes(oracle.route(point.threshold)) == (
+                point.communication_bytes
+            )
 
     def test_exit_accuracies_match_legacy_loop(self, trained_ddnn, tiny_test):
         """The logit-argmax convention of the historical eager loop holds."""
@@ -286,31 +307,24 @@ class TestQuantileCalibration:
 
 
 class TestPlanCache:
-    def test_cascades_share_one_plan(self, trained_ddnn):
-        invalidate_plan()
-        first = ExitCascade.for_model(trained_ddnn, 0.8, compile=True)
-        second = ExitCascade.for_model(trained_ddnn, 0.5, compile=True)
-        plan_a = first.compiled_for(trained_ddnn)
-        plan_b = second.compiled_for(trained_ddnn)
-        assert plan_a is plan_b
-        assert plan_a is compiled_plan_for(trained_ddnn)
-
-    def test_invalidate_one_model(self, trained_ddnn):
+    def test_cascades_share_one_plan(self, trained_ddnn, tiny_test):
+        """Compiled engines at different thresholds run the one cached plan."""
         invalidate_plan()
         plan = compiled_plan_for(trained_ddnn)
-        invalidate_plan(trained_ddnn)
-        assert compiled_plan_for(trained_ddnn) is not plan
+        for threshold in (0.8, 0.5):
+            StagedInferenceEngine(trained_ddnn, threshold, compile=True).run(tiny_test)
+        assert compiled_plan_for(trained_ddnn) is plan
+        assert cached_plan_count() == 1
 
-    def test_cascade_invalidate_leaves_other_models_cached(self, trained_ddnn, tiny_config):
-        """A cascade's no-arg invalidate only evicts models it served."""
+    def test_invalidate_one_model(self, trained_ddnn, tiny_config):
+        """Invalidating a model evicts its plan and no other model's."""
         invalidate_plan()
         other = build_ddnn(tiny_config)
         other_plan = compiled_plan_for(other)
-        cascade = ExitCascade.for_model(trained_ddnn, 0.8, compile=True)
-        own_plan = cascade.compiled_for(trained_ddnn)
-        cascade.invalidate_compiled()
+        plan = compiled_plan_for(trained_ddnn)
+        invalidate_plan(trained_ddnn)
+        assert compiled_plan_for(trained_ddnn) is not plan
         assert compiled_plan_for(other) is other_plan
-        assert compiled_plan_for(trained_ddnn) is not own_plan
 
     def test_cache_evicts_on_model_gc(self, tiny_config):
         invalidate_plan()

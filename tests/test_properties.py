@@ -11,12 +11,15 @@ from hypothesis.extra import numpy as hnp
 from repro.core import (
     AveragePoolAggregator,
     ConcatAggregator,
+    ExitCriterion,
+    ExitOracle,
     MaxPoolAggregator,
     ddnn_communication_bytes,
     normalized_entropy,
     raw_offload_bytes,
     softmax_probabilities,
 )
+from repro.core.exits import first_exits
 from repro.nn import Tensor, concatenate, maximum
 import repro.nn.functional as F
 
@@ -108,6 +111,69 @@ class TestSoftmaxEntropyProperties:
     def test_uniform_distribution_has_maximal_entropy(self, num_classes):
         uniform = np.full((1, num_classes), 1.0 / num_classes)
         assert normalized_entropy(uniform)[0] == pytest.approx(1.0)
+
+
+def reference_route(logits, thresholds):
+    """Per-sample cascade: walk the exits, stop at the first confident one."""
+    criteria = [ExitCriterion(t) for t in list(thresholds)[: len(logits) - 1]] + [ExitCriterion(1.0)]
+    routed = []
+    for sample in range(logits.shape[1]):
+        for index, criterion in enumerate(criteria):
+            decision = criterion.evaluate(logits[index, sample : sample + 1])
+            if decision.exit_mask[0] or index == len(criteria) - 1:
+                routed.append((index, decision.predictions[0], decision.entropies[0]))
+                break
+    exits, predictions, entropies = zip(*routed)
+    return np.array(exits), np.array(predictions), np.array(entropies)
+
+
+# Logits for 2-3 exits and 1-64 samples.  Small integers make ties and
+# uniform (maximal-entropy) rows common.
+cascade_logits = st.tuples(st.integers(2, 3), st.integers(1, 64), st.integers(2, 5)).flatmap(
+    lambda shape: hnp.arrays(
+        dtype=np.float64,
+        shape=shape,
+        elements=st.one_of(st.integers(-3, 3).map(float), st.floats(-10, 10)),
+    )
+)
+
+
+def cascade_thresholds(data, oracle, count):
+    """Thresholds in [0, 1]: the ends, arbitrary values, and values exactly
+    equal to an observed entropy (the ``<=`` boundary)."""
+    observed = np.minimum(oracle.entropies.ravel(), 1.0).tolist()
+    value = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), st.sampled_from(observed))
+    return data.draw(st.lists(value, min_size=count, max_size=count))
+
+
+class TestCascadeRoutingProperties:
+    @SETTINGS
+    @given(cascade_logits, st.data())
+    def test_route_and_first_exits_match_per_sample_reference(self, logits, data):
+        oracle = ExitOracle(logits, [f"exit{i}" for i in range(len(logits))])
+        thresholds = cascade_thresholds(data, oracle, len(logits) - 1)
+        exits, predictions, entropies = reference_route(logits, thresholds)
+        matrix = np.array([thresholds + [data.draw(st.floats(0.0, 1.0))]])
+        np.testing.assert_array_equal(first_exits(oracle.entropies, matrix)[0], exits)
+        routed = oracle.route(thresholds)
+        np.testing.assert_array_equal(routed.exit_indices, exits)
+        np.testing.assert_array_equal(routed.predictions, predictions)
+        np.testing.assert_array_equal(routed.entropies, entropies)
+
+    @SETTINGS
+    @given(cascade_logits, st.data())
+    def test_sweep_matches_per_sample_reference(self, logits, data):
+        targets = data.draw(
+            hnp.arrays(np.int64, logits.shape[1], elements=st.integers(0, logits.shape[2] - 1))
+        )
+        oracle = ExitOracle(logits, [f"exit{i}" for i in range(len(logits))], targets=targets)
+        grid = cascade_thresholds(data, oracle, data.draw(st.integers(1, 5)))
+        table = oracle.sweep(grid)
+        for row, threshold in enumerate(grid):
+            exits, predictions, _ = reference_route(logits, [threshold] * (len(logits) - 1))
+            assert table.overall_accuracy[row] == np.mean(predictions == targets)
+            for index in range(len(logits)):
+                assert table.exit_fractions[row, index] == np.mean(exits == index)
 
 
 aggregator_inputs = st.integers(2, 5).flatmap(

@@ -14,7 +14,6 @@ from repro.core import (
     evaluate_overall,
     full_accuracy_report,
     search_threshold,
-    staged_inference,
     threshold_for_exit_rate,
     train_ddnn,
 )
@@ -68,12 +67,12 @@ class TestDDNNTrainer:
 
 class TestStagedInference:
     def test_threshold_one_exits_everything_locally(self, trained_ddnn, tiny_test):
-        result = staged_inference(trained_ddnn, tiny_test, thresholds=1.0)
+        result = StagedInferenceEngine(trained_ddnn, 1.0).run(tiny_test)
         assert result.local_exit_fraction == 1.0
         assert set(result.exit_indices.tolist()) == {0}
 
     def test_threshold_zero_sends_everything_to_cloud(self, trained_ddnn, tiny_test):
-        result = staged_inference(trained_ddnn, tiny_test, thresholds=0.0)
+        result = StagedInferenceEngine(trained_ddnn, 0.0).run(tiny_test)
         assert result.local_exit_fraction == 0.0
         np.testing.assert_array_equal(
             result.predictions, result.exit_predictions["cloud"]
